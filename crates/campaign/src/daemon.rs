@@ -98,8 +98,10 @@ pub struct SubmitSummary {
 /// Lays out a campaign directory: writes `spec.txt`, enumerates the
 /// chip's properties, creates one `pending` journal per property and
 /// records module-preparation errors. Refuses to overwrite an existing
-/// campaign (journals are the source of truth for completed work).
+/// campaign (journals are the source of truth for completed work), and
+/// refuses a spec that disables every engine ([`SpecError::NoEngine`]).
 pub fn submit(root: &Path, spec: &CampaignSpec) -> Result<SubmitSummary, DaemonError> {
+    spec.validate().map_err(DaemonError::Spec)?;
     let dir = CampaignDir::new(root);
     if dir.spec_path().exists() {
         return Err(DaemonError::AlreadyExists);
@@ -480,4 +482,21 @@ pub fn run(root: &Path) -> Result<RunOutcome, DaemonError> {
     append_ndjson(&dir, &report.to_json())?;
     fs::remove_file(dir.pid_path()).ok();
     Ok(RunOutcome::Completed(Box::new(report)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A spec that disables every engine is refused before anything is
+    /// laid out on disk.
+    #[test]
+    fn submit_refuses_a_spec_without_engines() {
+        let root = std::env::temp_dir().join(format!("veridic-no-engine-{}", std::process::id()));
+        let mut spec = CampaignSpec::default();
+        spec.check.bdd_only = true;
+        spec.check.sat_only = true;
+        assert!(matches!(submit(&root, &spec), Err(DaemonError::Spec(SpecError::NoEngine))));
+        assert!(!root.exists(), "nothing may be written for a refused spec");
+    }
 }

@@ -64,6 +64,9 @@ pub enum SpecError {
     /// An unknown key (specs are closed-world: an unknown key means a
     /// newer writer, and silently ignoring it could change semantics).
     UnknownKey(String),
+    /// `bdd_only` and `sat_only` are both set: every engine is disabled,
+    /// so no property the pre-analysis leaves open could ever conclude.
+    NoEngine,
 }
 
 impl fmt::Display for SpecError {
@@ -75,6 +78,7 @@ impl fmt::Display for SpecError {
                 write!(f, "bad value {value:?} for spec key {key:?}")
             }
             SpecError::UnknownKey(key) => write!(f, "unknown spec key {key:?}"),
+            SpecError::NoEngine => write!(f, "bdd_only and sat_only together disable every engine"),
         }
     }
 }
@@ -138,6 +142,14 @@ impl CampaignSpec {
         )
     }
 
+    /// Rejects field combinations no campaign can run under.
+    pub(crate) fn validate(&self) -> Result<(), SpecError> {
+        if self.check.bdd_only && self.check.sat_only {
+            return Err(SpecError::NoEngine);
+        }
+        Ok(())
+    }
+
     /// Parses `spec.txt` text.
     pub fn parse(text: &str) -> Result<CampaignSpec, SpecError> {
         let mut lines = text.lines();
@@ -198,6 +210,7 @@ impl CampaignSpec {
                 _ => return Err(SpecError::UnknownKey(key.to_string())),
             }
         }
+        spec.validate()?;
         Ok(spec)
     }
 }
@@ -232,6 +245,10 @@ mod tests {
         assert_eq!(
             CampaignSpec::parse(&format!("{HEADER}\nwarp_factor 9")),
             Err(SpecError::UnknownKey("warp_factor".into()))
+        );
+        assert_eq!(
+            CampaignSpec::parse(&format!("{HEADER}\nbdd_only true\nsat_only true")),
+            Err(SpecError::NoEngine)
         );
     }
 }

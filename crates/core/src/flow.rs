@@ -453,10 +453,12 @@ impl CampaignReport {
         self.records.iter().filter(|r| r.stats.bdd_quota_hits > 0).count()
     }
 
-    /// Peak live nodes of any single intra-property POBDD worker manager
-    /// across the campaign (`CheckStats::worker_bdd`): the per-thread
-    /// memory high-water mark when `CheckOptions::pobdd_workers`
-    /// fans a hard property out, 0 if the POBDD engine never ran.
+    /// Peak live nodes of any single private lane or window manager
+    /// across the campaign (`CheckStats::worker_bdd`): the per-manager
+    /// memory high-water mark when `CheckOptions::image_workers` or
+    /// `CheckOptions::pobdd_workers` fans a hard property out (the
+    /// serial POBDD kernel counts as one), 0 if no lane or window run
+    /// recorded an entry.
     pub fn peak_worker_bdd_nodes(&self) -> usize {
         self.records
             .iter()
@@ -465,8 +467,10 @@ impl CampaignReport {
             .unwrap_or(0)
     }
 
-    /// Widest intra-property worker fan-out observed across the
-    /// campaign (number of POBDD worker managers of the widest run).
+    /// Widest intra-property fan-out observed across the campaign: the
+    /// most `CheckStats::worker_bdd` entries of any record — image
+    /// lanes of a lane-parallel BDD UMC run, or POBDD worker managers
+    /// (one for the serial POBDD kernel).
     pub fn max_pobdd_workers(&self) -> usize {
         self.records.iter().map(|r| r.stats.worker_bdd.len()).max().unwrap_or(0)
     }

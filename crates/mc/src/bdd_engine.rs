@@ -1,6 +1,15 @@
 //! BDD-based unbounded model checking: clustered transition relations,
 //! early quantification, forward reachability.
 //!
+//! [`TransitionSystem`] builds the symbolic model every BDD engine
+//! images through. The monolithic engine ([`bdd_umc`],
+//! [`bdd_umc_session`]) is the window-partitioned reachability kernel
+//! (`crate::reach`) over an empty split — one `TRUE` window — run in
+//! the calling thread. With `image_workers ≥ 2` the kernel keeps its
+//! one window but swaps its image step for a fan-out across private
+//! lane managers (`LaneImage`), whose per-lane images it OR-merges in
+//! lane order.
+//!
 //! Variable order interleaves current and next state: latch `i` gets
 //! current variable `2i` and next variable `2i+1`; primary inputs follow
 //! after all state variables. Interleaving keeps the current→next rename
@@ -9,8 +18,11 @@
 use crate::checkpoint::ReachCheckpoint;
 use crate::engine::Budget;
 use crate::pobdd::choose_split_vars;
-use crate::{BddWorkerStats, CheckStats};
-use std::sync::mpsc::{Receiver, Sender};
+use crate::reach::{
+    accounting, fold, run_crew, serial_image, window_cube, BuildResult, Crew, Fail, Kernel, Setup,
+    Worker,
+};
+use crate::{BddWorkerStats, CheckOptions, CheckStats};
 use veridic_aig::{Aig, Lit, Var};
 use veridic_bdd::transfer::{self, DeltaBdd, ExportedBdd};
 use veridic_bdd::{BddManager, FxHashMap, NodeId, OutOfNodes};
@@ -40,8 +52,7 @@ pub enum BddEngineOutcome {
 
 /// A transition-system build that exhausted the node quota, carrying the
 /// manager's accounting so callers can record honest statistics on the
-/// failure path (Table 2/3 used to report 0 nodes for quota-exhausted
-/// builds).
+/// failure path.
 #[derive(Clone, Copy, Debug)]
 pub struct BuildError {
     /// The underlying quota error.
@@ -107,9 +118,7 @@ impl TransitionSystem {
     /// [`TransitionSystem::build`] with the manager's variable order
     /// seeded before any node exists. `order` is a permutation of the
     /// full BDD variable space (see `static_bdd_order`); `None` keeps
-    /// the natural interleaved order and is byte-identical to
-    /// [`TransitionSystem::build`] — the seeding is an extra call on an
-    /// empty manager, never a changed one.
+    /// the natural interleaved order, which is [`TransitionSystem::build`].
     ///
     /// # Errors
     ///
@@ -365,17 +374,8 @@ pub fn bdd_umc(
     max_iterations: usize,
     stats: &mut CheckStats,
 ) -> BddEngineOutcome {
-    bdd_umc_session(
-        aig,
-        node_quota,
-        max_iterations,
-        1,
-        false,
-        false,
-        stats,
-        &mut Budget::unlimited(),
-        None,
-    )
+    let opts = CheckOptions { bdd_nodes: node_quota, max_iterations, ..CheckOptions::default() };
+    bdd_umc_session(aig, &opts, stats, &mut Budget::unlimited(), None)
 }
 
 /// A FORCE static variable order translated into the BDD variable
@@ -433,13 +433,14 @@ pub(crate) fn arm_dynamic_reorder(mgr: &mut BddManager, num_latches: usize, node
     mgr.set_auto_reorder(Some((node_quota / 32).max(1 << 12)));
 }
 
-/// [`bdd_umc`] under a cooperative round [`Budget`], optionally resumed
-/// from a [`ReachCheckpoint`] of an earlier suspended run on the same
-/// AIG.
+/// [`bdd_umc`] under the options `opts` and a cooperative round
+/// [`Budget`], optionally resumed from a [`ReachCheckpoint`] of an
+/// earlier suspended run on the same AIG.
 ///
-/// One budget round is consumed per reachability image. When the budget
-/// trips *between* rounds, the engine exports its reached and frontier
-/// sets through [`veridic_bdd::transfer`] (the frontier delta-encoded
+/// The engine is the reachability kernel over a single `TRUE` window.
+/// One budget round is consumed per image. When the budget trips
+/// *between* rounds, the engine exports its reached and frontier sets
+/// through [`veridic_bdd::transfer`] (the frontier delta-encoded
 /// against the reached export — it is a subset, so the delta is small)
 /// and returns [`BddEngineOutcome::Suspended`]; resuming imports them
 /// into a fresh manager and continues at round `depth + 1`, so verdict,
@@ -449,135 +450,60 @@ pub(crate) fn arm_dynamic_reorder(mgr: &mut BddManager, num_latches: usize, node
 /// fresh manager never built the dead intermediates of the first
 /// session).
 ///
-/// `image_workers` selects the image strategy: `1` (the default) is the
-/// serial engine, unchanged; any other value fans the per-round image
-/// out across lane threads (`0` = one per available CPU) as described
-/// on `parallel_umc_session` (private) — verdict, depth and iteration count are
-/// identical to serial for every worker count, and all manager-level
-/// statistics are identical across parallel worker counts.
+/// The options the engine reads:
 ///
-/// `dynamic_reorder` arms automatic in-place variable sifting (see
-/// [`veridic_bdd::BddManager::sift`]) on every manager the session
-/// creates — the serial manager, the coordinator and each image lane.
-/// Verdict, depth and iteration count are unaffected; only node counts
-/// and wall-clock move.
+/// * [`CheckOptions::bdd_nodes`] and [`CheckOptions::max_iterations`]
+///   bound the run.
+/// * [`CheckOptions::image_workers`] selects the image step: `1` images
+///   in the kernel's own manager; any other value fans each round's
+///   image out across lane threads (`0` = one per available CPU) as
+///   described on `LaneImage` (private) — verdict, depth and iteration
+///   count are identical to serial for every worker count, and all
+///   manager-level statistics are identical across parallel worker
+///   counts.
+/// * [`CheckOptions::dynamic_reorder`] arms automatic in-place variable
+///   sifting (see [`veridic_bdd::BddManager::sift`]) on every manager
+///   the session creates — the kernel's and each image lane's.
+///   Verdict, depth and iteration count are unaffected; only node
+///   counts and wall-clock move.
+/// * [`CheckOptions::static_order`] seeds every manager the session
+///   creates with the FORCE static variable order (see
+///   `static_bdd_order`) before any node is built. Also
+///   verdict/depth/iteration-neutral.
 ///
-/// `static_order` seeds every manager the session creates with the
-/// FORCE static variable order (see `static_bdd_order`) before any
-/// node is built. Also verdict/depth/iteration-neutral; with it off no
-/// extra call of any kind is made, so the run is byte-identical to
-/// previous releases.
-#[allow(clippy::too_many_arguments)]
+/// # Panics
+///
+/// If `resume` is a partitioned-engine checkpoint.
 pub fn bdd_umc_session(
     aig: &Aig,
-    node_quota: usize,
-    max_iterations: usize,
-    image_workers: usize,
-    dynamic_reorder: bool,
-    static_order: bool,
+    opts: &CheckOptions,
     stats: &mut CheckStats,
     budget: &mut Budget,
     resume: Option<&ReachCheckpoint>,
 ) -> BddEngineOutcome {
-    let seeded = if static_order {
-        let so = static_bdd_order(aig);
-        stats.static_order_span_before = so.span_before;
-        stats.static_order_span_after = so.span_after;
-        Some(so.order)
-    } else {
-        None
-    };
-    let order = seeded.as_deref();
-    let mut ts = match TransitionSystem::build_with_order(aig, node_quota, order) {
+    let setup = Setup::new(aig, opts, 0, resume, stats);
+    let mut ts = match setup.system() {
         Ok(ts) => ts,
-        Err(e) => {
-            stats.bdd_nodes = stats.bdd_nodes.max(e.peak_live_nodes);
-            stats.bdd_allocated += e.total_allocated;
-            stats.bdd_quota_hits += 1;
+        Err(ws) => {
+            fold(stats, &ws);
             return BddEngineOutcome::ResourceOut;
         }
     };
-    if dynamic_reorder {
-        let n_latches = ts.num_latches();
-        arm_dynamic_reorder(&mut ts.mgr, n_latches, node_quota);
-    }
-    let workers = effective_image_workers(image_workers);
-    if workers > 1 {
-        // The lane split is derived from the transition system alone, so
-        // the lane structure — and with it every lane manager's op
-        // sequence — is independent of the worker count. No entangled
-        // variables means no way to partition the state space: fall
-        // through to the serial engine.
-        let split = choose_split_vars(&ts, IMAGE_LANE_VARS);
-        if !split.is_empty() {
-            return parallel_umc_session(
-                aig,
-                ts,
-                node_quota,
-                max_iterations,
-                workers,
-                dynamic_reorder,
-                order,
-                &split,
-                stats,
-                budget,
-                resume,
-            );
-        }
-    }
-    let outcome = (|| -> Result<BddEngineOutcome, OutOfNodes> {
-        let (mut reached, mut frontier, start_depth) = match session_start(&mut ts, resume)? {
-            Some(start) => start,
-            None => return Ok(BddEngineOutcome::FalsifiedAtDepth(0)),
-        };
-        // `stats.iterations` counts *completed* rounds: a round that
-        // concludes the check (fixpoint or falsification) counts, a
-        // round aborted by the quota does not — the same convention as
-        // `pobdd_reach`, so a quota failure during the depth-d image
-        // reports d-1 from both engines (it used to report d-1 here and
-        // d there, skewing Tables 2/3 between engines).
-        for depth in start_depth + 1..=max_iterations {
-            if !budget.tick() {
-                if !budget.checkpoint_worthwhile() {
-                    return Ok(BddEngineOutcome::Yielded);
-                }
-                return Ok(BddEngineOutcome::Suspended(monolithic_checkpoint(
-                    &ts.mgr,
-                    depth - 1,
-                    reached,
-                    frontier,
-                )));
-            }
-            let img = ts.image(frontier)?;
-            let new = ts.mgr.and_not(img, reached)?;
-            if new == NodeId::FALSE {
-                stats.iterations = depth;
-                return Ok(BddEngineOutcome::Proved);
-            }
-            if ts.intersects_bad(new) {
-                stats.iterations = depth;
-                return Ok(BddEngineOutcome::FalsifiedAtDepth(depth));
-            }
-            ts.mgr.protect(new); // becomes the next frontier
-            let r = ts.mgr.or(reached, new)?;
-            ts.mgr.reroot(reached, r);
-            reached = r;
-            ts.mgr.unprotect(frontier);
-            frontier = new;
-            stats.iterations = depth;
-        }
-        Ok(BddEngineOutcome::ResourceOut)
-    })();
-    stats.bdd_nodes = stats.bdd_nodes.max(ts.mgr.peak_live_nodes());
-    stats.bdd_allocated += ts.mgr.total_allocated();
-    fold_reorder_stats(stats, &ts.mgr);
-    match outcome {
-        Ok(o) => o,
-        Err(_) => {
-            stats.bdd_quota_hits += 1;
-            BddEngineOutcome::ResourceOut
-        }
-    }
+    setup.arm(&mut ts);
+    // The lane split is derived from the transition system alone, so
+    // the lane structure — and with it every lane manager's op
+    // sequence — is independent of the worker count. No entangled
+    // variables means no way to partition the state space: the kernel
+    // images in its own manager.
+    let workers = effective_image_workers(opts.image_workers);
+    let lanes = if workers > 1 { choose_split_vars(&ts, IMAGE_LANE_VARS) } else { Vec::new() };
+    let mut kernel = Kernel::new(ts, Vec::new(), 1, 0);
+    let run = if lanes.is_empty() {
+        setup.run_local(&mut kernel, stats, budget, &mut serial_image)
+    } else {
+        lane_session(&setup, &mut kernel, &lanes, workers, stats, budget)
+    };
+    kernel.finish(stats, run).0
 }
 
 // ---------------------------------------------------------------------
@@ -592,16 +518,7 @@ pub fn bdd_umc_session(
 /// worker-count-invariant.
 const IMAGE_LANE_VARS: u32 = 2;
 
-/// Folds a manager's lifetime reordering counters into the check's
-/// aggregate [`CheckStats`] (also used by the POBDD engine).
-pub(crate) fn fold_reorder_stats(stats: &mut CheckStats, mgr: &BddManager) {
-    let (runs, before, after) = mgr.reorder_stats();
-    stats.reorders += runs;
-    stats.reorder_nodes_before += before;
-    stats.reorder_nodes_after += after;
-}
-
-/// Resolves [`crate::CheckOptions::image_workers`]: `0` means one per
+/// Resolves [`CheckOptions::image_workers`]: `0` means one per
 /// available CPU.
 fn effective_image_workers(requested: usize) -> usize {
     if requested == 0 {
@@ -611,79 +528,48 @@ fn effective_image_workers(requested: usize) -> usize {
     }
 }
 
-/// Shared prologue of the serial and parallel monolithic sessions:
-/// import the checkpoint (the frontier through the delta path, against
-/// its paired reached export) or root the initial state and run the
-/// depth-0 bad check. `Ok(None)` means bad intersects the initial
-/// states.
-fn session_start(
-    ts: &mut TransitionSystem,
-    resume: Option<&ReachCheckpoint>,
-) -> Result<Option<(NodeId, NodeId, usize)>, OutOfNodes> {
-    match resume {
-        Some(ck) => {
-            assert_eq!(ck.window_vars, 0, "monolithic engine resumed with a POBDD checkpoint");
-            assert_eq!(ck.reached.len(), 1, "monolithic checkpoint has one window");
-            // Imports arrive rooted — exactly the registration the
-            // reached/frontier slots own.
-            let r = transfer::import(&ck.reached[0], &mut ts.mgr)?;
-            let f = transfer::import_delta(&ck.frontier[0], &ck.reached[0], &mut ts.mgr)?;
-            Ok(Some((r, f, ck.depth)))
-        }
-        None => {
-            let init = ts.init;
-            ts.mgr.protect(init); // reached slot
-            ts.mgr.protect(init); // frontier slot
-            if ts.intersects_bad(init) {
-                return Ok(None);
+/// Runs the monolithic kernel with its image step fanned out across
+/// `workers` lane threads over the lane split `split`; lane `l` runs on
+/// thread `l mod threads`. The build barrier fails the run (without a
+/// quota hit of the kernel's own) if any lane could not be built.
+fn lane_session(
+    setup: &Setup<'_>,
+    kernel: &mut Kernel,
+    split: &[u32],
+    workers: usize,
+    stats: &mut CheckStats,
+    budget: &mut Budget,
+) -> Result<BddEngineOutcome, Fail> {
+    let nlanes = 1usize << split.len();
+    let threads = workers.min(nlanes);
+    let build = |tid: usize| -> BuildResult<LaneWorker> {
+        let mut lanes = Vec::new();
+        let mut failed = Vec::new();
+        for lane in (tid..nlanes).step_by(threads) {
+            match ImageLane::build(setup, split, lane) {
+                Ok(la) => lanes.push(la),
+                Err(ws) => failed.push((lane, ws)),
             }
-            Ok(Some((init, init, 0)))
         }
-    }
+        if failed.is_empty() {
+            return Ok((LaneWorker { lanes, failed: Vec::new() }, Vec::new()));
+        }
+        failed.extend(lanes.iter().map(|la| (la.lane, accounting(&la.ts.mgr, false))));
+        Err(failed)
+    };
+    run_crew(threads, build, stats, |crew, built, stats| {
+        if built.iter().any(Option::is_none) {
+            return Err(Fail::Worker);
+        }
+        // Both sides of the frontier broadcast start from the empty
+        // baseline and rebase on the identical delta every round.
+        let baseline = transfer::export(&kernel.ts.mgr, NodeId::FALSE);
+        let mut fan_out = LaneImage { crew, baseline };
+        setup.run_local(kernel, stats, budget, &mut |ts, s| fan_out.image(ts, s))
+    })
 }
 
-/// Builds the monolithic [`ReachCheckpoint`]: the reached set as a full
-/// export, the frontier delta-encoded against it — the frontier is a
-/// subset of the reached set, so the delta ships only the nodes the
-/// frontier's cone adds over the reached cone.
-fn monolithic_checkpoint(
-    mgr: &BddManager,
-    depth: usize,
-    reached: NodeId,
-    frontier: NodeId,
-) -> ReachCheckpoint {
-    let reached_export = transfer::export(mgr, reached);
-    let frontier_delta = transfer::export_delta(mgr, frontier, &reached_export);
-    ReachCheckpoint {
-        depth,
-        reached: vec![reached_export],
-        frontier: vec![frontier_delta],
-        window_vars: 0,
-    }
-}
-
-/// Coordinator → lane-thread commands for the parallel image.
-enum ToLane {
-    /// Compute this round's lane images from the broadcast frontier
-    /// delta (encoded against the chained baseline both sides maintain).
-    Round(DeltaBdd),
-    /// Tear down and report per-lane manager accounting.
-    Stop,
-}
-
-/// Lane-thread → coordinator replies. Every command is answered by
-/// exactly one reply (even on quota failure), so the coordinator's
-/// barrier is a fixed receive count per phase.
-enum FromLane {
-    /// Setup finished (or failed: `ok == false`).
-    Built { ok: bool },
-    /// One `(lane, image export)` pair per owned lane, in ascending
-    /// lane order.
-    Images { images: Vec<(usize, ExportedBdd)>, ok: bool },
-}
-
-/// Monolithic forward reachability with the per-round image fanned out
-/// across `workers` lane threads.
+/// The lane fan-out as the monolithic kernel's image step.
 ///
 /// # The determinism contract
 ///
@@ -697,218 +583,62 @@ enum FromLane {
 /// image(s) = ⋃_l image(s ∧ w_l)
 /// ```
 ///
-/// and each lane runs the *serial* early-quantification schedule — the
+/// and each lane runs the serial early-quantification schedule — the
 /// schedule depends only on the clusters, never on the accumulator, so
 /// it stays valid for any conjunct of `s`. Each lane owns a private
-/// [`TransitionSystem`]/manager seeded once at session start; lane `l`
-/// runs on thread `l mod nthreads`. Per round the coordinator
-/// broadcasts the frontier as a [`DeltaBdd`] against a chained baseline
-/// (both sides rebase on the same delta, so the baselines agree without
-/// ever being shipped), and OR-merges the returned lane images into the
-/// main manager in ascending lane order. Consequences:
+/// [`TransitionSystem`]/manager built once at session start. Per round
+/// the kernel broadcasts its frontier as a [`DeltaBdd`] against a
+/// chained baseline (both sides rebase on the same delta, so the
+/// baselines agree without ever being shipped), and OR-merges the
+/// returned lane images into its own manager in ascending lane order.
+/// Consequences:
 ///
 /// * verdict, falsification depth and completed-round count equal the
 ///   serial engine's for every worker count (same set-level fixpoint,
 ///   same round structure);
-/// * every manager's op sequence is lane- or coordinator-local and
+/// * every manager's op sequence is lane- or kernel-local and
 ///   worker-count-independent, so *all* manager statistics — peak live
 ///   nodes, allocations, the per-lane entries in
 ///   [`CheckStats::worker_bdd`] — are identical across parallel worker
-///   counts (serial peak-live naturally differs: the coordinator's
-///   manager never builds image intermediates here);
+///   counts (serial peak-live naturally differs: the kernel's manager
+///   never builds image intermediates here);
 /// * quota exhaustion in any lane aborts the round exactly like a
 ///   serial mid-image quota failure: the round does not count toward
 ///   [`CheckStats::iterations`] and the engine reports resource-out.
-#[allow(clippy::too_many_arguments)]
-fn parallel_umc_session(
-    aig: &Aig,
-    mut ts: TransitionSystem,
-    node_quota: usize,
-    max_iterations: usize,
-    workers: usize,
-    dynamic_reorder: bool,
-    order: Option<&[u32]>,
-    split: &[u32],
-    stats: &mut CheckStats,
-    budget: &mut Budget,
-    resume: Option<&ReachCheckpoint>,
-) -> BddEngineOutcome {
-    let nlanes = 1usize << split.len();
-    let nthreads = workers.min(nlanes);
-    let (up_tx, up_rx) = std::sync::mpsc::channel::<(usize, FromLane)>();
-    let (outcome, lane_stats) = std::thread::scope(|s| {
-        let mut to_lanes = Vec::with_capacity(nthreads);
-        let mut handles = Vec::with_capacity(nthreads);
-        for tid in 0..nthreads {
-            let (down_tx, down_rx) = std::sync::mpsc::channel::<ToLane>();
-            let up = up_tx.clone();
-            to_lanes.push(down_tx);
-            handles.push(s.spawn(move || {
-                image_lane_worker(
-                    aig,
-                    tid,
-                    nthreads,
-                    nlanes,
-                    split,
-                    node_quota,
-                    dynamic_reorder,
-                    order,
-                    &down_rx,
-                    &up,
-                )
-            }));
-        }
-        // Only the lane threads hold senders now: if every thread died,
-        // the coordinator's recv errors out instead of blocking forever.
-        drop(up_tx);
-        let outcome = drive_image_rounds(
-            &mut ts,
-            &to_lanes,
-            &up_rx,
-            nthreads,
-            nlanes,
-            max_iterations,
-            stats,
-            budget,
-            resume,
-        );
-        for tx in &to_lanes {
-            let _ = tx.send(ToLane::Stop);
-        }
-        let mut lane_stats: Vec<(usize, BddWorkerStats)> = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("image lane worker panicked")) // lint: allow
-            .collect();
-        lane_stats.sort_unstable_by_key(|(l, _)| *l);
-        (outcome, lane_stats)
-    });
-    stats.bdd_nodes = stats.bdd_nodes.max(ts.mgr.peak_live_nodes());
-    stats.bdd_allocated += ts.mgr.total_allocated();
-    fold_reorder_stats(stats, &ts.mgr);
-    for (_, ws) in &lane_stats {
-        stats.bdd_nodes = stats.bdd_nodes.max(ws.peak_live_nodes);
-        stats.bdd_allocated += ws.allocated;
-        stats.bdd_quota_hits += ws.quota_hit as usize;
-        stats.reorders += ws.reorders;
-        stats.reorder_nodes_before += ws.reorder_nodes_before;
-        stats.reorder_nodes_after += ws.reorder_nodes_after;
-    }
-    stats.worker_bdd = lane_stats.into_iter().map(|(_, ws)| ws).collect();
-    match outcome {
-        Ok(o) => o,
-        Err(_) => {
-            stats.bdd_quota_hits += 1;
-            BddEngineOutcome::ResourceOut
-        }
-    }
+struct LaneImage<'c> {
+    crew: &'c Crew<DeltaBdd, Vec<(usize, ExportedBdd)>>,
+    baseline: ExportedBdd,
 }
 
-/// The coordinator's round loop of the parallel image session: the
-/// serial fixpoint with `ts.image(frontier)` replaced by the lane
-/// fan-out. Errors are main-manager quota failures; lane quota failures
-/// come back through the protocol and degrade to resource-out directly
-/// (the lane's own accounting records the hit).
-#[allow(clippy::too_many_arguments)]
-fn drive_image_rounds(
-    ts: &mut TransitionSystem,
-    to_lanes: &[Sender<ToLane>],
-    up_rx: &Receiver<(usize, FromLane)>,
-    nthreads: usize,
-    nlanes: usize,
-    max_iterations: usize,
-    stats: &mut CheckStats,
-    budget: &mut Budget,
-    resume: Option<&ReachCheckpoint>,
-) -> Result<BddEngineOutcome, OutOfNodes> {
-    // Build barrier.
-    let mut built_ok = true;
-    for _ in 0..nthreads {
-        let (_, msg) = up_rx.recv().expect("image lane hung up during build"); // lint: allow
-        match msg {
-            FromLane::Built { ok } => built_ok &= ok,
-            _ => unreachable!("build phase answers with Built"),
-        }
-    }
-    if !built_ok {
-        return Ok(BddEngineOutcome::ResourceOut);
-    }
-    let (mut reached, mut frontier, start_depth) = match session_start(ts, resume)? {
-        Some(start) => start,
-        None => return Ok(BddEngineOutcome::FalsifiedAtDepth(0)),
-    };
-    // Both sides of the frontier broadcast start from the empty baseline
-    // and rebase on the identical delta every round.
-    let mut baseline = transfer::export(&ts.mgr, NodeId::FALSE);
-    for depth in start_depth + 1..=max_iterations {
-        if !budget.tick() {
-            if !budget.checkpoint_worthwhile() {
-                return Ok(BddEngineOutcome::Yielded);
-            }
-            return Ok(BddEngineOutcome::Suspended(monolithic_checkpoint(
-                &ts.mgr,
-                depth - 1,
-                reached,
-                frontier,
-            )));
-        }
-        let delta = transfer::export_delta(&ts.mgr, frontier, &baseline);
-        baseline = delta.rebase(&baseline);
-        for tx in to_lanes {
-            let _ = tx.send(ToLane::Round(delta.clone()));
-        }
-        let mut images: Vec<Option<ExportedBdd>> = (0..nlanes).map(|_| None).collect();
-        let mut ok = true;
-        for _ in 0..nthreads {
-            let (_, msg) = up_rx.recv().expect("image lane hung up during images"); // lint: allow
-            match msg {
-                FromLane::Images { images: imgs, ok: lane_ok } => {
-                    ok &= lane_ok;
-                    for (l, e) in imgs {
-                        images[l] = Some(e);
-                    }
-                }
-                _ => unreachable!("round phase answers with Images"),
-            }
-        }
-        if !ok {
-            // A lane hit its quota mid-image: round `depth` did not
-            // complete, exactly like a serial mid-image quota failure.
-            return Ok(BddEngineOutcome::ResourceOut);
+impl LaneImage<'_> {
+    fn image(&mut self, ts: &mut TransitionSystem, frontier: NodeId) -> Result<NodeId, Fail> {
+        let delta = transfer::export_delta(&ts.mgr, frontier, &self.baseline);
+        self.baseline = delta.rebase(&self.baseline);
+        self.crew.broadcast(|| delta.clone());
+        let mut images = Vec::new();
+        for reply in self.crew.gather() {
+            images.extend(reply.ok_or(Fail::Worker)?);
         }
         // Merge in ascending lane order — the fixed order keeps the
-        // coordinator's op sequence worker-count-independent.
+        // kernel's op sequence worker-count-independent.
+        images.sort_unstable_by_key(|(lane, _)| *lane);
         let mut img = NodeId::FALSE;
-        for e in images.iter().flatten() {
+        for (_, e) in &images {
             let part = transfer::import(e, &mut ts.mgr)?; // arrives rooted
             let merged = ts.mgr.or(img, part)?;
             ts.mgr.reroot(img, merged);
             ts.mgr.unprotect(part);
             img = merged;
         }
-        let new = ts.mgr.and_not(img, reached)?;
+        // The kernel consumes the image in its next operation.
         ts.mgr.unprotect(img);
-        if new == NodeId::FALSE {
-            stats.iterations = depth;
-            return Ok(BddEngineOutcome::Proved);
-        }
-        if ts.intersects_bad(new) {
-            stats.iterations = depth;
-            return Ok(BddEngineOutcome::FalsifiedAtDepth(depth));
-        }
-        ts.mgr.protect(new); // becomes the next frontier
-        let r = ts.mgr.or(reached, new)?;
-        ts.mgr.reroot(reached, r);
-        reached = r;
-        ts.mgr.unprotect(frontier);
-        frontier = new;
-        stats.iterations = depth;
+        Ok(img)
     }
-    Ok(BddEngineOutcome::ResourceOut)
 }
 
 /// One lane of the parallel image: a private transition system, the
 /// lane's window cube, and the chained frontier baseline mirroring the
-/// coordinator's.
+/// kernel's.
 struct ImageLane {
     ts: TransitionSystem,
     window: NodeId,
@@ -917,6 +647,23 @@ struct ImageLane {
 }
 
 impl ImageLane {
+    /// Builds one lane's private transition system and window cube, and
+    /// arms the GC heuristics: a lane lives across many rounds against
+    /// the full quota, so collecting on table growth — and aging out
+    /// cache entries no round has touched in a while — beats thrashing
+    /// the quota-triggered collect-and-retry path. The heuristic
+    /// parameters depend only on the quota, keeping lane managers
+    /// deterministic for any worker count.
+    fn build(setup: &Setup<'_>, split: &[u32], lane: usize) -> Result<ImageLane, BddWorkerStats> {
+        let mut ts = setup.system()?;
+        let window = window_cube(&mut ts.mgr, split, lane).map_err(|_| accounting(&ts.mgr, true))?;
+        ts.mgr.set_gc_growth_threshold(Some((setup.node_quota / 8).max(1 << 12)));
+        ts.mgr.set_cache_max_age(Some(8));
+        setup.arm(&mut ts);
+        let baseline = transfer::export(&ts.mgr, NodeId::FALSE);
+        Ok(ImageLane { ts, window, baseline, lane })
+    }
+
     /// One round: rebuild the frontier from the broadcast delta,
     /// restrict it to the lane's window, image it through the serial
     /// early-quantification schedule and export the result (a pure
@@ -934,82 +681,10 @@ impl ImageLane {
         self.ts.mgr.unprotect(s);
         Ok(export)
     }
-
-    fn worker_stats(&self, quota_hit: bool) -> BddWorkerStats {
-        let (reorders, reorder_nodes_before, reorder_nodes_after) = self.ts.mgr.reorder_stats();
-        BddWorkerStats {
-            peak_live_nodes: self.ts.mgr.peak_live_nodes(),
-            allocated: self.ts.mgr.total_allocated(),
-            quota_hit,
-            reorders,
-            reorder_nodes_before,
-            reorder_nodes_after,
-        }
-    }
 }
 
-/// Builds one lane's private transition system and window cube, and
-/// arms the GC heuristics: a lane lives across many rounds against the
-/// full quota, so collecting on table growth — and aging out cache
-/// entries no round has touched in a while — beats thrashing the
-/// quota-triggered collect-and-retry path. The heuristic parameters
-/// depend only on the quota, keeping lane managers deterministic for
-/// any worker count.
-fn lane_setup(
-    aig: &Aig,
-    lane: usize,
-    split: &[u32],
-    node_quota: usize,
-    dynamic_reorder: bool,
-    order: Option<&[u32]>,
-) -> Result<ImageLane, BddWorkerStats> {
-    let mut ts = match TransitionSystem::build_with_order(aig, node_quota, order) {
-        Ok(ts) => ts,
-        Err(e) => {
-            return Err(BddWorkerStats {
-                peak_live_nodes: e.peak_live_nodes,
-                allocated: e.total_allocated,
-                quota_hit: true,
-                ..Default::default()
-            })
-        }
-    };
-    let mut window = NodeId::TRUE;
-    for (bit, var) in split.iter().enumerate() {
-        let lit = if lane >> bit & 1 == 1 { ts.mgr.var(*var) } else { ts.mgr.nvar(*var) };
-        match lit.and_then(|l| ts.mgr.and(window, l)) {
-            Ok(c) => {
-                // The reroot chain leaves exactly one registration on
-                // the finished cube (terminals need none).
-                ts.mgr.reroot(window, c);
-                window = c;
-            }
-            Err(_) => {
-                return Err(BddWorkerStats {
-                    peak_live_nodes: ts.mgr.peak_live_nodes(),
-                    allocated: ts.mgr.total_allocated(),
-                    quota_hit: true,
-                    ..Default::default()
-                })
-            }
-        }
-    }
-    ts.mgr.set_gc_growth_threshold(Some((node_quota / 8).max(1 << 12)));
-    ts.mgr.set_cache_max_age(Some(8));
-    if dynamic_reorder {
-        let n_latches = ts.num_latches();
-        arm_dynamic_reorder(&mut ts.mgr, n_latches, node_quota);
-    }
-    let baseline = transfer::export(&ts.mgr, NodeId::FALSE);
-    Ok(ImageLane { ts, window, baseline, lane })
-}
-
-/// One lane thread: owns lanes `tid, tid + nthreads, …` and answers the
-/// round protocol for each in ascending lane order. Panic-guarded like
-/// the POBDD workers: a panicking round sends the error-flavored reply
-/// and keeps draining until `Stop` so the coordinator's
-/// fixed-receive-count barrier never deadlocks, then re-raises through
-/// the join.
+/// One lane thread: owns lanes `tid, tid + threads, …` and answers each
+/// round for them in ascending lane order.
 ///
 /// A quota failure in one lane never short-circuits its siblings:
 /// every owned lane still attempts the build and every round, because
@@ -1017,100 +692,30 @@ fn lane_setup(
 /// keeps the set of lane executions — and with it every per-lane and
 /// aggregate statistic of a quota-death run — identical for every
 /// worker count and thread layout.
-#[allow(clippy::too_many_arguments)]
-fn image_lane_worker(
-    aig: &Aig,
-    tid: usize,
-    nthreads: usize,
-    nlanes: usize,
-    split: &[u32],
-    node_quota: usize,
-    dynamic_reorder: bool,
-    order: Option<&[u32]>,
-    rx: &Receiver<ToLane>,
-    tx: &Sender<(usize, FromLane)>,
-) -> Vec<(usize, BddWorkerStats)> {
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    let owned: Vec<usize> = (tid..nlanes).step_by(nthreads).collect();
-    let setup = catch_unwind(AssertUnwindSafe(|| {
-        let mut lanes = Vec::with_capacity(owned.len());
-        let mut failed: Vec<(usize, BddWorkerStats)> = Vec::new();
-        for &l in &owned {
-            match lane_setup(aig, l, split, node_quota, dynamic_reorder, order) {
-                Ok(lane) => lanes.push(lane),
-                Err(ws) => failed.push((l, ws)),
-            }
-        }
-        (lanes, failed)
-    }));
-    let (mut lanes, setup_failed) = match setup {
-        Ok(v) => v,
-        Err(payload) => {
-            let _ = tx.send((tid, FromLane::Built { ok: false }));
-            drain_lanes_until_stop(tid, rx, tx);
-            resume_unwind(payload);
-        }
-    };
-    if !setup_failed.is_empty() {
-        let _ = tx.send((tid, FromLane::Built { ok: false }));
-        drain_lanes_until_stop(tid, rx, tx);
-        let mut out: Vec<(usize, BddWorkerStats)> =
-            lanes.iter().map(|la| (la.lane, la.worker_stats(false))).collect();
-        out.extend(setup_failed);
-        return out;
-    }
-    let _ = tx.send((tid, FromLane::Built { ok: true }));
-    let mut quota_lanes: Vec<usize> = Vec::new();
-    let mut panic_payload = None;
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            ToLane::Round(delta) => {
-                let round = catch_unwind(AssertUnwindSafe(|| {
-                    let mut images = Vec::with_capacity(lanes.len());
-                    let mut failed: Vec<usize> = Vec::new();
-                    for la in lanes.iter_mut() {
-                        match la.round(&delta) {
-                            Ok(e) => images.push((la.lane, e)),
-                            Err(_) => failed.push(la.lane),
-                        }
-                    }
-                    (images, failed)
-                }));
-                match round {
-                    Ok((images, failed)) if failed.is_empty() => {
-                        let _ = tx.send((tid, FromLane::Images { images, ok: true }));
-                        continue;
-                    }
-                    Ok((_, failed)) => quota_lanes = failed,
-                    Err(payload) => panic_payload = Some(payload),
-                }
-                let _ = tx.send((tid, FromLane::Images { images: Vec::new(), ok: false }));
-                drain_lanes_until_stop(tid, rx, tx);
-                break;
-            }
-            ToLane::Stop => break,
-        }
-    }
-    if let Some(payload) = panic_payload {
-        resume_unwind(payload);
-    }
-    lanes
-        .iter()
-        .map(|la| (la.lane, la.worker_stats(quota_lanes.contains(&la.lane))))
-        .collect()
+struct LaneWorker {
+    lanes: Vec<ImageLane>,
+    /// Lanes whose manager exhausted its quota.
+    failed: Vec<usize>,
 }
 
-/// After a quota failure the lane thread keeps answering the protocol
-/// until `Stop`, so the coordinator's barriers never block on a dead
-/// thread.
-fn drain_lanes_until_stop(tid: usize, rx: &Receiver<ToLane>, tx: &Sender<(usize, FromLane)>) {
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            ToLane::Round(_) => {
-                let _ = tx.send((tid, FromLane::Images { images: Vec::new(), ok: false }));
+impl Worker for LaneWorker {
+    type Cmd = DeltaBdd;
+    type Reply = Vec<(usize, ExportedBdd)>;
+
+    fn answer(&mut self, delta: DeltaBdd) -> Option<Self::Reply> {
+        let mut images = Vec::with_capacity(self.lanes.len());
+        for la in &mut self.lanes {
+            match la.round(&delta) {
+                Ok(e) => images.push((la.lane, e)),
+                Err(_) => self.failed.push(la.lane),
             }
-            ToLane::Stop => break,
         }
+        self.failed.is_empty().then_some(images)
+    }
+
+    fn accounting(&self) -> Vec<(usize, BddWorkerStats)> {
+        let quota_hit = |lane| self.failed.contains(&lane);
+        self.lanes.iter().map(|la| (la.lane, accounting(&la.ts.mgr, quota_hit(la.lane)))).collect()
     }
 }
 
@@ -1272,11 +877,12 @@ mod tests {
             let mut stats = CheckStats::default();
             let got = bdd_umc_session(
                 &g,
-                1 << 20,
-                1000,
-                workers,
-                false,
-                false,
+                &CheckOptions {
+                    bdd_nodes: 1 << 20,
+                    max_iterations: 1000,
+                    image_workers: workers,
+                    ..CheckOptions::default()
+                },
                 &mut stats,
                 &mut Budget::unlimited(),
                 None,
@@ -1315,11 +921,12 @@ mod tests {
             assert_eq!(
                 bdd_umc_session(
                     &g,
-                    1 << 20,
-                    100,
-                    workers,
-                    false,
-                    false,
+                    &CheckOptions {
+                        bdd_nodes: 1 << 20,
+                        max_iterations: 100,
+                        image_workers: workers,
+                        ..CheckOptions::default()
+                    },
                     &mut stats,
                     &mut Budget::unlimited(),
                     None,
@@ -1345,11 +952,12 @@ mod tests {
             let mut stats = CheckStats::default();
             let got = bdd_umc_session(
                 &g,
-                quota,
-                1 << 20,
-                workers,
-                false,
-                false,
+                &CheckOptions {
+                    bdd_nodes: quota,
+                    max_iterations: 1 << 20,
+                    image_workers: workers,
+                    ..CheckOptions::default()
+                },
                 &mut stats,
                 &mut Budget::unlimited(),
                 None,

@@ -55,6 +55,7 @@ mod engine;
 mod options;
 mod pobdd;
 mod portfolio;
+mod reach;
 
 pub use bdd_engine::{bdd_umc, bdd_umc_session, BddEngineOutcome, BuildError, TransitionSystem};
 pub use bmc::{
@@ -137,22 +138,23 @@ impl Verdict {
     }
 }
 
-/// Per-worker BDD manager accounting for the threaded POBDD engine
-/// (one entry per worker thread, in worker-index order).
+/// Accounting of one private BDD manager of a lane or window run — a
+/// lane of the lane-parallel monolithic image, a POBDD worker thread,
+/// or the serial POBDD kernel (see [`CheckStats::worker_bdd`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BddWorkerStats {
-    /// The worker manager's live-node high-water mark.
+    /// The manager's live-node high-water mark.
     pub peak_live_nodes: usize,
-    /// Total nodes the worker's manager ever allocated.
+    /// Total nodes the manager ever allocated.
     pub allocated: u64,
-    /// True if this worker's manager exhausted its quota.
+    /// True if the manager exhausted its quota.
     pub quota_hit: bool,
-    /// Dynamic reordering passes this worker's manager ran (zero unless
+    /// Dynamic reordering passes the manager ran (zero unless
     /// [`CheckOptions::dynamic_reorder`] is on).
     pub reorders: u64,
-    /// Σ live nodes immediately before each of this worker's passes.
+    /// Σ live nodes immediately before each of the manager's passes.
     pub reorder_nodes_before: u64,
-    /// Σ live nodes immediately after each of this worker's passes.
+    /// Σ live nodes immediately after each of the manager's passes.
     pub reorder_nodes_after: u64,
 }
 
@@ -225,10 +227,13 @@ pub struct CheckStats {
     /// — both engines follow this convention, so a quota failure during
     /// the depth-d image reports d-1 everywhere.
     pub iterations: usize,
-    /// Per-worker manager accounting of the most recent partitioned-OBDD
-    /// run (replaced wholesale each run; empty if the POBDD engine never
-    /// ran). One entry per worker thread, in worker-index order; the
-    /// serial engine reports a single entry.
+    /// One entry per private manager of the latest lane or window run,
+    /// replaced wholesale by each such run: per lane (in lane order) for
+    /// a lane-parallel BDD UMC run ([`CheckOptions::image_workers`]
+    /// `≥ 2`), per worker thread (in worker order) for a threaded POBDD
+    /// run, and a single entry for a serial POBDD run. A serial
+    /// monolithic BDD UMC run records none and leaves the field as it
+    /// was.
     pub worker_bdd: Vec<BddWorkerStats>,
     /// Dynamic reordering passes run across all BDD managers (zero
     /// unless [`CheckOptions::dynamic_reorder`] is on and a trigger
@@ -242,8 +247,7 @@ pub struct CheckStats {
     pub reorder_nodes_after: u64,
     /// Total hyperedge span of the natural variable order, recorded by
     /// the FORCE static-order pass ([`CheckOptions::static_order`]).
-    /// Zero when the pass is off — the pass makes no calls at all then,
-    /// keeping off-runs byte-identical to previous releases.
+    /// Zero when the pass is off — the pass makes no calls at all then.
     pub static_order_span_before: u64,
     /// Total hyperedge span of the adopted FORCE order (paired with
     /// [`CheckStats::static_order_span_before`]: the ratio is the

@@ -41,13 +41,15 @@ pub struct CheckOptions {
     /// private BDD manager per lane, with frontiers broadcast through
     /// the transfer layer's delta encoding (verdicts, depths, iteration
     /// counts match serial for every worker count; see
-    /// `veridic_mc::bdd_umc_session`). `0` = one per available CPU. The
-    /// default of `1` keeps the engine serial — byte-identical stats to
-    /// the pre-parallel engine — so it composes with campaign-level
-    /// parallelism without oversubscribing.
+    /// [`crate::bdd_umc_session`]). `0` = one per available CPU. The
+    /// default of `1` keeps the engine serial, imaging in the kernel's
+    /// own manager, so it composes with campaign-level parallelism
+    /// without oversubscribing.
     pub image_workers: usize,
-    /// Enable dynamic variable reordering in the BDD engines: each BDD
-    /// manager (serial, per-lane, per-window) arms an automatic
+    /// Enable dynamic variable reordering in the BDD engines
+    /// ([`crate::bdd_umc_session`], [`crate::pobdd_reach_session`]):
+    /// every BDD manager a session creates (kernel, lane or window
+    /// worker) arms an automatic
     /// in-place sifting pass that fires when the live node count has
     /// grown by an engine-chosen threshold since the last reorder.
     /// Verdicts, falsification depths and iteration counts are
@@ -56,17 +58,19 @@ pub struct CheckOptions {
     /// models whose natural order is already good, sifting is pure
     /// overhead.
     pub dynamic_reorder: bool,
-    /// Seed both BDD engines' managers with the FORCE static variable
-    /// order (`veridic_aig::structure::force_order`) before the first
-    /// image: the latch/input slot order that minimizes hyperedge span
+    /// Seed every manager of both BDD engines
+    /// ([`crate::bdd_umc_session`], [`crate::pobdd_reach_session`])
+    /// with the FORCE static variable order
+    /// (`veridic_aig::structure::force_order`) before the first image:
+    /// the latch/input slot order that minimizes hyperedge span
     /// over the AND/next-state structure, translated so each latch's
     /// current/next pair stays adjacent. Purely structural — computed
     /// once per property cone from the AIG alone, identical for every
     /// worker count, and composable with `dynamic_reorder` (sifting
     /// starts from the seeded order instead of the natural one).
     /// Verdicts, depths and iteration counts are unaffected; only node
-    /// counts and wall-clock move. Off by default: with this off the
-    /// engines are byte-identical to previous releases.
+    /// counts and wall-clock move. Off by default, and when off no
+    /// order is computed or adopted at all.
     pub static_order: bool,
     /// Skip the SAT engines (BDD-only portfolio).
     pub bdd_only: bool,

@@ -5,22 +5,26 @@
 //! reached-set BDD stays smaller than the monolithic one, postponing node
 //! blow-up.
 //!
-//! With `workers > 1` the window partitions additionally fan out across
-//! threads: every worker owns a deterministic subset of the windows and
-//! a private [`TransitionSystem`]/manager built from the shared AIG, and
-//! frontiers cross worker boundaries between synchronous rounds through
-//! the [`veridic_bdd::transfer`] layer. Verdicts, falsification depths
-//! and iteration counts are identical to the serial engine for any
-//! worker count (see the determinism notes on [`pobdd_reach`]).
+//! The engine is the window-partitioned reachability kernel
+//! (`crate::reach`) over [`choose_split_vars`]'s split. With one worker
+//! a single kernel owns every window and runs in the calling thread;
+//! with `workers > 1` each worker thread runs its own kernel — a private
+//! [`TransitionSystem`]/manager built from the shared AIG — owning a
+//! deterministic subset of the windows, and image pieces cross kernel
+//! boundaries between synchronous rounds through the
+//! [`veridic_bdd::transfer`] layer. Verdicts, falsification depths and
+//! iteration counts are identical for any worker count (see the
+//! determinism notes on [`pobdd_reach`]).
 
 use crate::bdd_engine::{BddEngineOutcome, TransitionSystem};
 use crate::checkpoint::ReachCheckpoint;
 use crate::engine::Budget;
-use crate::{BddWorkerStats, CheckStats};
-use std::sync::mpsc::{Receiver, Sender};
+use crate::reach::{
+    accounting, fold, run_crew, serial_image, BuildResult, CheckpointPiece, Crew, Fail, Kernel,
+    RemotePiece, Rounds, Setup, Step, Worker,
+};
+use crate::{BddWorkerStats, CheckOptions, CheckStats};
 use veridic_aig::Aig;
-use veridic_bdd::transfer::{self, DeltaBdd, ExportedBdd};
-use veridic_bdd::{NodeId, OutOfNodes};
 
 /// Partitioned forward reachability with `window_vars` splitting
 /// variables (up to 2^k windows) across `workers` threads (`0` = one
@@ -48,7 +52,7 @@ use veridic_bdd::{NodeId, OutOfNodes};
 /// gets the full `node_quota`, so a run that exhausts the quota under
 /// one worker layout may fit under another; runs that conclude within
 /// quota agree everywhere. Per-worker manager accounting lands in
-/// [`CheckStats::worker_bdd`].
+/// [`CheckStats::worker_bdd`] (one entry for the serial engine).
 pub fn pobdd_reach(
     aig: &Aig,
     window_vars: u32,
@@ -57,23 +61,19 @@ pub fn pobdd_reach(
     max_iterations: usize,
     stats: &mut CheckStats,
 ) -> BddEngineOutcome {
-    pobdd_reach_session(
-        aig,
-        window_vars,
-        workers,
-        node_quota,
+    let opts = CheckOptions {
+        pobdd_window_vars: window_vars,
+        pobdd_workers: workers,
+        bdd_nodes: node_quota,
         max_iterations,
-        false,
-        false,
-        stats,
-        &mut Budget::unlimited(),
-        None,
-    )
+        ..CheckOptions::default()
+    };
+    pobdd_reach_session(aig, &opts, stats, &mut Budget::unlimited(), None)
 }
 
-/// [`pobdd_reach`] under a cooperative round [`Budget`], optionally
-/// resumed from a [`ReachCheckpoint`] of an earlier suspended run on
-/// the same AIG.
+/// [`pobdd_reach`] under the options `opts` and a cooperative round
+/// [`Budget`], optionally resumed from a [`ReachCheckpoint`] of an
+/// earlier suspended run on the same AIG.
 ///
 /// One budget round is consumed per global reachability round. When the
 /// budget trips between rounds, every window's reached and frontier set
@@ -85,74 +85,54 @@ pub fn pobdd_reach(
 /// checkpoint taken under one worker layout resumes under another with
 /// the same verdict, depth and completed-round count.
 ///
-/// `dynamic_reorder` arms automatic in-place variable sifting (see
-/// [`veridic_bdd::BddManager::sift`]) on every manager the session
-/// creates — the serial manager or each window worker's. Verdict,
-/// depth and iteration count are unaffected; only node counts and
-/// wall-clock move.
+/// The options the engine reads:
 ///
-/// `static_order` seeds every manager the session creates with the
-/// FORCE static variable order (see
-/// [`veridic_aig::structure::force_order`]) before its transition
-/// system is built — computed once from the AIG, identical across
-/// workers, and composable with `dynamic_reorder` (sifting starts from
-/// the seeded order). Like reordering, it moves only node counts and
-/// wall-clock, never verdicts, depths or iteration counts.
-#[allow(clippy::too_many_arguments)]
+/// * [`CheckOptions::pobdd_window_vars`] and
+///   [`CheckOptions::pobdd_workers`] are `pobdd_reach`'s `window_vars`
+///   and `workers`.
+/// * [`CheckOptions::bdd_nodes`] and [`CheckOptions::max_iterations`]
+///   bound the run.
+/// * [`CheckOptions::dynamic_reorder`] arms automatic in-place variable
+///   sifting (see [`veridic_bdd::BddManager::sift`]) on every manager
+///   the session creates — the serial kernel's or each worker's.
+///   Verdict, depth and iteration count are unaffected; only node
+///   counts and wall-clock move.
+/// * [`CheckOptions::static_order`] seeds every manager the session
+///   creates with the FORCE static variable order (see
+///   [`veridic_aig::structure::force_order`]) before its transition
+///   system is built — computed once from the AIG, identical across
+///   workers, and composable with `dynamic_reorder` (sifting starts
+///   from the seeded order). Like reordering, it moves only node counts
+///   and wall-clock, never verdicts, depths or iteration counts.
+///
+/// # Panics
+///
+/// If `resume` was taken under a different window-variable count.
 pub fn pobdd_reach_session(
     aig: &Aig,
-    window_vars: u32,
-    workers: usize,
-    node_quota: usize,
-    max_iterations: usize,
-    dynamic_reorder: bool,
-    static_order: bool,
+    opts: &CheckOptions,
     stats: &mut CheckStats,
     budget: &mut Budget,
     resume: Option<&ReachCheckpoint>,
 ) -> BddEngineOutcome {
-    if let Some(ck) = resume {
-        assert_eq!(
-            ck.window_vars, window_vars,
-            "POBDD resumed with a checkpoint from a different window split"
-        );
+    let window_vars = opts.pobdd_window_vars;
+    let setup = Setup::new(aig, opts, window_vars, resume, stats);
+    let workers = effective_workers(opts.pobdd_workers, window_vars, aig);
+    if workers > 1 {
+        return threaded(&setup, workers, stats, budget);
     }
-    let seeded = if static_order {
-        let so = crate::bdd_engine::static_bdd_order(aig);
-        stats.static_order_span_before = so.span_before;
-        stats.static_order_span_after = so.span_after;
-        Some(so.order)
-    } else {
-        None
+    let mut kernel = match setup.window_kernel(1, 0) {
+        Ok(kernel) => kernel,
+        Err(ws) => {
+            fold(stats, &ws);
+            stats.worker_bdd = vec![ws];
+            return BddEngineOutcome::ResourceOut;
+        }
     };
-    let order = seeded.as_deref();
-    let workers = effective_workers(workers, window_vars, aig);
-    if workers <= 1 {
-        serial_reach(
-            aig,
-            window_vars,
-            node_quota,
-            max_iterations,
-            dynamic_reorder,
-            order,
-            stats,
-            budget,
-            resume,
-        )
-    } else {
-        parallel_reach(
-            aig,
-            window_vars,
-            workers,
-            node_quota,
-            max_iterations,
-            dynamic_reorder,
-            order,
-            stats,
-            budget,
-            resume,
-        )
-    }
+    let run = setup.run_local(&mut kernel, stats, budget, &mut serial_image);
+    let (outcome, ws) = kernel.finish(stats, run);
+    stats.worker_bdd = vec![ws];
+    outcome
 }
 
 /// Resolves the requested worker count: `0` means one per available
@@ -209,206 +189,6 @@ fn structurally_entangled_latches(aig: &Aig) -> usize {
     entangled.len()
 }
 
-// ---------------------------------------------------------------------
-// Serial engine (one manager, all windows).
-// ---------------------------------------------------------------------
-
-#[allow(clippy::too_many_arguments)]
-fn serial_reach(
-    aig: &Aig,
-    window_vars: u32,
-    node_quota: usize,
-    max_iterations: usize,
-    dynamic_reorder: bool,
-    order: Option<&[u32]>,
-    stats: &mut CheckStats,
-    budget: &mut Budget,
-    resume: Option<&ReachCheckpoint>,
-) -> BddEngineOutcome {
-    let mut ts = match TransitionSystem::build_with_order(aig, node_quota, order) {
-        Ok(ts) => ts,
-        Err(e) => {
-            // Quota-exhausted builds used to report 0 nodes in the
-            // Table 2/3 stats; record the manager's accounting and the
-            // quota hit on this exit path too.
-            stats.bdd_nodes = stats.bdd_nodes.max(e.peak_live_nodes);
-            stats.bdd_allocated += e.total_allocated;
-            stats.bdd_quota_hits += 1;
-            stats.worker_bdd = vec![BddWorkerStats {
-                peak_live_nodes: e.peak_live_nodes,
-                allocated: e.total_allocated,
-                quota_hit: true,
-                ..Default::default()
-            }];
-            return BddEngineOutcome::ResourceOut;
-        }
-    };
-    if dynamic_reorder {
-        let n_latches = ts.num_latches();
-        crate::bdd_engine::arm_dynamic_reorder(&mut ts.mgr, n_latches, node_quota);
-    }
-    let outcome = serial_run(&mut ts, window_vars, max_iterations, stats, budget, resume);
-    stats.bdd_nodes = stats.bdd_nodes.max(ts.mgr.peak_live_nodes());
-    stats.bdd_allocated += ts.mgr.total_allocated();
-    crate::bdd_engine::fold_reorder_stats(stats, &ts.mgr);
-    let (reorders, reorder_nodes_before, reorder_nodes_after) = ts.mgr.reorder_stats();
-    stats.worker_bdd = vec![BddWorkerStats {
-        peak_live_nodes: ts.mgr.peak_live_nodes(),
-        allocated: ts.mgr.total_allocated(),
-        quota_hit: outcome.is_err(),
-        reorders,
-        reorder_nodes_before,
-        reorder_nodes_after,
-    }];
-    match outcome {
-        Ok(o) => o,
-        Err(_) => {
-            stats.bdd_quota_hits += 1;
-            BddEngineOutcome::ResourceOut
-        }
-    }
-}
-
-fn serial_run(
-    ts: &mut TransitionSystem,
-    window_vars: u32,
-    max_iterations: usize,
-    stats: &mut CheckStats,
-    budget: &mut Budget,
-    resume: Option<&ReachCheckpoint>,
-) -> Result<BddEngineOutcome, OutOfNodes> {
-    let split = choose_split_vars(ts, window_vars);
-    let windows = build_windows(ts, &split)?;
-    let nparts = windows.len();
-
-    // Per-partition reached sets and frontiers.
-    let mut reached = vec![NodeId::FALSE; nparts];
-    let mut frontier = vec![NodeId::FALSE; nparts];
-    let start_depth = match resume {
-        Some(ck) => {
-            assert_eq!(
-                ck.reached.len(),
-                nparts,
-                "checkpoint window count must match the re-derived split"
-            );
-            for w in 0..nparts {
-                // Each import arrives rooted: exactly the registration
-                // the reached/frontier slot owns.
-                reached[w] = transfer::import(&ck.reached[w], &mut ts.mgr)?;
-                frontier[w] =
-                    transfer::import_delta(&ck.frontier[w], &ck.reached[w], &mut ts.mgr)?;
-            }
-            ck.depth
-        }
-        None => {
-            for w in 0..nparts {
-                let part = ts.mgr.and(ts.init, windows[w])?;
-                ts.mgr.protect(part); // reached slot
-                ts.mgr.protect(part); // frontier slot
-                reached[w] = part;
-                frontier[w] = part;
-                if part != NodeId::FALSE && ts.intersects_bad(part) {
-                    return Ok(BddEngineOutcome::FalsifiedAtDepth(0));
-                }
-            }
-            0
-        }
-    };
-
-    // Synchronous rounds: depth is global, so falsification depths agree
-    // with the monolithic engine. `stats.iterations` counts *completed*
-    // rounds (a round that concludes the check counts as completed, a
-    // round aborted by the quota does not) — the same convention as
-    // `bdd_umc`, so Tables 2/3 agree between engines on every exit path.
-    for depth in start_depth + 1..=max_iterations {
-        if !budget.tick() {
-            if !budget.checkpoint_worthwhile() {
-                return Ok(BddEngineOutcome::Yielded);
-            }
-            let reached_exports: Vec<ExportedBdd> =
-                reached.iter().map(|&n| transfer::export(&ts.mgr, n)).collect();
-            let frontier_deltas = frontier
-                .iter()
-                .zip(&reached_exports)
-                .map(|(&f, base)| transfer::export_delta(&ts.mgr, f, base))
-                .collect();
-            return Ok(BddEngineOutcome::Suspended(ReachCheckpoint {
-                depth: depth - 1,
-                reached: reached_exports,
-                frontier: frontier_deltas,
-                window_vars,
-            }));
-        }
-        let mut new_frontier = vec![NodeId::FALSE; nparts];
-        let mut any_new = false;
-        for &fr in &frontier {
-            if fr == NodeId::FALSE {
-                continue;
-            }
-            let img = ts.image(fr)?;
-            ts.mgr.protect(img); // held across the whole window loop
-            // Distribute the image across windows.
-            for (l, window) in windows.iter().enumerate() {
-                let part = ts.mgr.and(img, *window)?;
-                if part == NodeId::FALSE {
-                    continue;
-                }
-                let fresh = ts.mgr.and_not(part, reached[l])?;
-                if fresh == NodeId::FALSE {
-                    continue;
-                }
-                if ts.intersects_bad(fresh) {
-                    stats.iterations = depth; // the concluding round counts
-                    return Ok(BddEngineOutcome::FalsifiedAtDepth(depth));
-                }
-                let r = ts.mgr.or(reached[l], fresh)?;
-                ts.mgr.reroot(reached[l], r);
-                reached[l] = r;
-                let nf = ts.mgr.or(new_frontier[l], fresh)?;
-                ts.mgr.reroot(new_frontier[l], nf);
-                new_frontier[l] = nf;
-                any_new = true;
-            }
-            ts.mgr.unprotect(img);
-        }
-        stats.iterations = depth; // round completed
-        if !any_new {
-            return Ok(BddEngineOutcome::Proved);
-        }
-        for &fr in &frontier {
-            ts.mgr.unprotect(fr);
-        }
-        frontier = new_frontier;
-    }
-    Ok(BddEngineOutcome::ResourceOut)
-}
-
-/// Builds one window cube per assignment of the split variables. The
-/// cubes are protected in the manager (they are held for the whole
-/// run); the caller owns those registrations.
-fn build_windows(ts: &mut TransitionSystem, split: &[u32]) -> Result<Vec<NodeId>, OutOfNodes> {
-    let nparts = 1usize << split.len();
-    let mut windows = Vec::with_capacity(nparts);
-    for w in 0..nparts {
-        let mut cube = NodeId::TRUE;
-        for (bit, var) in split.iter().enumerate() {
-            let lit = if w >> bit & 1 == 1 {
-                ts.mgr.var(*var)?
-            } else {
-                ts.mgr.nvar(*var)?
-            };
-            let c = ts.mgr.and(cube, lit)?;
-            // The reroot chain leaves exactly one registration on the
-            // finished cube (and none on the TRUE cube of an empty
-            // split, which as a terminal needs none).
-            ts.mgr.reroot(cube, c);
-            cube = c;
-        }
-        windows.push(cube);
-    }
-    Ok(windows)
-}
-
 /// Picks the current-state variables that occur in the most clusters.
 ///
 /// Zero-occurrence variables are dropped even when that yields fewer
@@ -435,432 +215,6 @@ pub(crate) fn choose_split_vars(ts: &TransitionSystem, want: u32) -> Vec<u32> {
         .collect()
 }
 
-// ---------------------------------------------------------------------
-// Threaded engine (one manager per worker, windows partitioned).
-// ---------------------------------------------------------------------
-
-/// A frontier piece crossing a worker boundary: image of window `src`
-/// restricted to window `dst`, serialized for the destination manager.
-type RemotePiece = (usize, usize, ExportedBdd); // (dst, src, piece)
-
-/// One window's checkpoint piece: `(window, reached, frontier)` — the
-/// frontier delta-encoded against the same window's reached export.
-type CheckpointPiece = (usize, ExportedBdd, DeltaBdd);
-
-/// Coordinator → worker commands, one round at a time.
-enum ToWorker {
-    /// Compute this round's images for every owned window and ship the
-    /// remote-destined pieces up.
-    Round,
-    /// Absorb the routed pieces (pre-sorted by `(dst, src)`) into the
-    /// owned reached sets/frontiers and report the round status.
-    Absorb(Vec<RemotePiece>),
-    /// Export the owned windows' reached/frontier sets (the budget
-    /// suspended the run between rounds).
-    Checkpoint,
-    /// Tear down and report final manager accounting.
-    Stop,
-}
-
-/// Worker → coordinator phase reports. Every command is answered by
-/// exactly one report (even on quota failure), so the coordinator's
-/// barrier is a fixed receive count per phase.
-enum FromWorker {
-    /// Setup done. `owner` is the worker's window→worker assignment —
-    /// every worker derives the identical map from its identically
-    /// built transition system, and the coordinator adopts the first
-    /// successful worker's copy for routing.
-    Built { falsified0: bool, ok: bool, owner: Vec<usize> },
-    Images { remote: Vec<RemotePiece>, ok: bool },
-    Absorbed { any_new: bool, falsified: bool, ok: bool },
-    Checkpointed { pieces: Vec<CheckpointPiece>, ok: bool },
-}
-
-#[allow(clippy::too_many_arguments)]
-fn parallel_reach(
-    aig: &Aig,
-    window_vars: u32,
-    workers: usize,
-    node_quota: usize,
-    max_iterations: usize,
-    dynamic_reorder: bool,
-    order: Option<&[u32]>,
-    stats: &mut CheckStats,
-    budget: &mut Budget,
-    resume: Option<&ReachCheckpoint>,
-) -> BddEngineOutcome {
-    let (up_tx, up_rx) = std::sync::mpsc::channel::<(usize, FromWorker)>();
-    let outcome = std::thread::scope(|s| {
-        let mut to_workers = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for wid in 0..workers {
-            let (down_tx, down_rx) = std::sync::mpsc::channel::<ToWorker>();
-            let up = up_tx.clone();
-            to_workers.push(down_tx);
-            handles.push(s.spawn(move || {
-                window_worker(
-                    aig,
-                    wid,
-                    workers,
-                    window_vars,
-                    node_quota,
-                    dynamic_reorder,
-                    order,
-                    resume,
-                    &down_rx,
-                    &up,
-                )
-            }));
-        }
-        // Only the workers hold senders now: if every worker died, the
-        // coordinator's recv errors out instead of blocking forever.
-        drop(up_tx);
-        let start_depth = resume.map_or(0, |ck| ck.depth);
-        let outcome = drive_rounds(
-            &to_workers,
-            &up_rx,
-            workers,
-            max_iterations,
-            stats,
-            budget,
-            start_depth,
-            window_vars,
-        );
-        for tx in &to_workers {
-            let _ = tx.send(ToWorker::Stop);
-        }
-        let worker_stats: Vec<BddWorkerStats> = handles
-            .into_iter()
-            .map(|h| h.join().expect("pobdd worker panicked")) // lint: allow
-            .collect();
-        for ws in &worker_stats {
-            stats.bdd_nodes = stats.bdd_nodes.max(ws.peak_live_nodes);
-            stats.bdd_allocated += ws.allocated;
-            stats.bdd_quota_hits += ws.quota_hit as usize;
-            stats.reorders += ws.reorders;
-            stats.reorder_nodes_before += ws.reorder_nodes_before;
-            stats.reorder_nodes_after += ws.reorder_nodes_after;
-        }
-        stats.worker_bdd = worker_stats;
-        outcome
-    });
-    outcome
-}
-
-/// The coordinator's round loop: broadcast a command, await one report
-/// per worker, reduce. Falsification takes precedence over quota
-/// failure in a mixed round — a found intersection with bad is sound
-/// regardless of what other workers ran out of.
-#[allow(clippy::too_many_arguments)]
-fn drive_rounds(
-    to_workers: &[Sender<ToWorker>],
-    up_rx: &Receiver<(usize, FromWorker)>,
-    workers: usize,
-    max_iterations: usize,
-    stats: &mut CheckStats,
-    budget: &mut Budget,
-    start_depth: usize,
-    window_vars: u32,
-) -> BddEngineOutcome {
-    // Build barrier. The window→worker map (identical from every
-    // worker) is adopted for piece routing.
-    let mut ok = true;
-    let mut falsified = false;
-    let mut owner: Vec<usize> = Vec::new();
-    for _ in 0..workers {
-        let (_, msg) = up_rx.recv().expect("pobdd worker hung up during build"); // lint: allow
-        match msg {
-            FromWorker::Built { falsified0, ok: worker_ok, owner: map } => {
-                ok &= worker_ok;
-                falsified |= falsified0;
-                if owner.is_empty() {
-                    owner = map;
-                }
-            }
-            _ => unreachable!("build phase answers with Built"),
-        }
-    }
-    if falsified {
-        return BddEngineOutcome::FalsifiedAtDepth(0);
-    }
-    if !ok {
-        return BddEngineOutcome::ResourceOut;
-    }
-
-    for depth in start_depth + 1..=max_iterations {
-        if !budget.tick() {
-            if !budget.checkpoint_worthwhile() {
-                // Slot-cap handover: the scheduler discards any state,
-                // so skip the whole worker checkpoint protocol phase.
-                return BddEngineOutcome::Yielded;
-            }
-            return checkpoint_workers(to_workers, up_rx, workers, depth - 1, window_vars);
-        }
-        // Phase A: images. Collect every worker's remote-destined pieces.
-        for tx in to_workers {
-            let _ = tx.send(ToWorker::Round);
-        }
-        let mut all_remote: Vec<Vec<RemotePiece>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut ok = true;
-        for _ in 0..workers {
-            let (wid, msg) = up_rx.recv().expect("pobdd worker hung up during images"); // lint: allow
-            match msg {
-                FromWorker::Images { remote, ok: worker_ok } => {
-                    ok &= worker_ok;
-                    all_remote[wid] = remote;
-                }
-                _ => unreachable!("image phase answers with Images"),
-            }
-        }
-        if !ok {
-            return BddEngineOutcome::ResourceOut;
-        }
-        // Route by the shared window→worker map (a longest-processing-
-        // time bin-pack over window cost estimates; see
-        // `assign_windows_lpt`). Sort each worker's inbox by (dst, src)
-        // so absorption order — and therefore node allocation — is
-        // schedule-independent.
-        let mut inbox: Vec<Vec<RemotePiece>> = (0..workers).map(|_| Vec::new()).collect();
-        for pieces in all_remote {
-            for piece in pieces {
-                inbox[owner[piece.0]].push(piece);
-            }
-        }
-        for (wid, mut pieces) in inbox.into_iter().enumerate() {
-            pieces.sort_unstable_by_key(|(dst, src, _)| (*dst, *src));
-            let _ = to_workers[wid].send(ToWorker::Absorb(pieces));
-        }
-        // Phase B: absorb reports.
-        let mut ok = true;
-        let mut falsified = false;
-        let mut any_new = false;
-        for _ in 0..workers {
-            let (_, msg) = up_rx.recv().expect("pobdd worker hung up during absorb"); // lint: allow
-            match msg {
-                FromWorker::Absorbed { any_new: new, falsified: f, ok: worker_ok } => {
-                    any_new |= new;
-                    falsified |= f;
-                    ok &= worker_ok;
-                }
-                _ => unreachable!("absorb phase answers with Absorbed"),
-            }
-        }
-        if falsified {
-            stats.iterations = depth; // the concluding round counts
-            return BddEngineOutcome::FalsifiedAtDepth(depth);
-        }
-        if !ok {
-            return BddEngineOutcome::ResourceOut; // round d not completed
-        }
-        stats.iterations = depth; // round completed
-        if !any_new {
-            return BddEngineOutcome::Proved;
-        }
-    }
-    BddEngineOutcome::ResourceOut
-}
-
-/// Collects every worker's owned-window exports into one
-/// [`ReachCheckpoint`] after the budget suspended the run. If any
-/// worker cannot checkpoint (it died on a quota failure earlier), the
-/// run degrades to a plain resource-out — a partial checkpoint would
-/// resume unsoundly.
-fn checkpoint_workers(
-    to_workers: &[Sender<ToWorker>],
-    up_rx: &Receiver<(usize, FromWorker)>,
-    workers: usize,
-    depth: usize,
-    window_vars: u32,
-) -> BddEngineOutcome {
-    for tx in to_workers {
-        let _ = tx.send(ToWorker::Checkpoint);
-    }
-    let mut all_pieces: Vec<CheckpointPiece> = Vec::new();
-    let mut ok = true;
-    for _ in 0..workers {
-        let (_, msg) = up_rx.recv().expect("pobdd worker hung up during checkpoint"); // lint: allow
-        match msg {
-            FromWorker::Checkpointed { pieces, ok: worker_ok } => {
-                ok &= worker_ok;
-                all_pieces.extend(pieces);
-            }
-            _ => unreachable!("checkpoint phase answers with Checkpointed"),
-        }
-    }
-    if !ok {
-        return BddEngineOutcome::ResourceOut;
-    }
-    all_pieces.sort_unstable_by_key(|(w, _, _)| *w);
-    let nparts = all_pieces.len();
-    debug_assert!(all_pieces.iter().enumerate().all(|(i, (w, _, _))| i == *w));
-    let mut reached = Vec::with_capacity(nparts);
-    let mut frontier = Vec::with_capacity(nparts);
-    for (_, r, f) in all_pieces {
-        reached.push(r);
-        frontier.push(f);
-    }
-    BddEngineOutcome::Suspended(ReachCheckpoint { depth, reached, frontier, window_vars })
-}
-
-/// Per-worker state for the threaded engine: a private transition
-/// system plus the reached/frontier slots of the owned windows.
-struct WindowWorker {
-    ts: TransitionSystem,
-    /// All window cubes (every worker can slice an image by any window).
-    windows: Vec<NodeId>,
-    /// Window indices this worker owns (per the shared LPT assignment).
-    owned: Vec<usize>,
-    /// Window → owning worker, identical across workers (each derives
-    /// it from the same costs; see [`assign_windows_lpt`]).
-    owner: Vec<usize>,
-    wid: usize,
-    reached: Vec<NodeId>,
-    frontier: Vec<NodeId>,
-    /// Own-destined pieces of the current round, held between the image
-    /// and absorb phases (each protected).
-    local_pieces: Vec<(usize, usize, NodeId)>, // (dst, src, part)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn window_worker(
-    aig: &Aig,
-    wid: usize,
-    workers: usize,
-    window_vars: u32,
-    node_quota: usize,
-    dynamic_reorder: bool,
-    order: Option<&[u32]>,
-    resume: Option<&ReachCheckpoint>,
-    rx: &Receiver<ToWorker>,
-    tx: &Sender<(usize, FromWorker)>,
-) -> BddWorkerStats {
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    // Every phase is panic-guarded: a panicking worker would otherwise
-    // deadlock the coordinator's fixed-receive-count barrier (its reply
-    // never arrives, and the other workers' live senders keep `recv`
-    // from erroring out). On a panic the worker sends the error-flavored
-    // reply, keeps the protocol alive until `Stop`, and only then
-    // re-raises, so the bug surfaces through the coordinator's join
-    // instead of hanging the check.
-    let setup = catch_unwind(AssertUnwindSafe(|| {
-        let mut ts =
-            TransitionSystem::build_with_order(aig, node_quota, order).map_err(|e| BddWorkerStats {
-            peak_live_nodes: e.peak_live_nodes,
-            allocated: e.total_allocated,
-            quota_hit: true,
-            ..Default::default()
-        })?;
-        if dynamic_reorder {
-            let n_latches = ts.num_latches();
-            crate::bdd_engine::arm_dynamic_reorder(&mut ts.mgr, n_latches, node_quota);
-        }
-        worker_setup(ts, wid, workers, window_vars, resume)
-    }));
-    let mut state = match setup {
-        Ok(Ok(state)) => state,
-        Ok(Err(stats)) => {
-            let _ = tx.send((
-                wid,
-                FromWorker::Built { falsified0: false, ok: false, owner: Vec::new() },
-            ));
-            drain_until_stop(wid, rx, tx);
-            return stats;
-        }
-        Err(payload) => {
-            let _ = tx.send((
-                wid,
-                FromWorker::Built { falsified0: false, ok: false, owner: Vec::new() },
-            ));
-            drain_until_stop(wid, rx, tx);
-            resume_unwind(payload);
-        }
-    };
-    let mut quota_hit = false;
-    // A resumed run's depth-0 check already happened in the original
-    // session; re-checking the imported frontier would double-report.
-    let falsified0 = resume.is_none() && state.init_intersects_bad();
-    let _ = tx.send((
-        wid,
-        FromWorker::Built { falsified0, ok: true, owner: state.owner.clone() },
-    ));
-    let mut panic_payload = None;
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            ToWorker::Round => {
-                match catch_unwind(AssertUnwindSafe(|| state.images())) {
-                    Ok(Ok(remote)) => {
-                        let _ = tx.send((wid, FromWorker::Images { remote, ok: true }));
-                        continue;
-                    }
-                    Ok(Err(_)) => quota_hit = true,
-                    Err(payload) => panic_payload = Some(payload),
-                }
-                let _ = tx.send((wid, FromWorker::Images { remote: Vec::new(), ok: false }));
-                drain_until_stop(wid, rx, tx);
-                break;
-            }
-            ToWorker::Absorb(pieces) => {
-                match catch_unwind(AssertUnwindSafe(|| state.absorb(pieces))) {
-                    Ok(Ok((any_new, falsified))) => {
-                        let _ =
-                            tx.send((wid, FromWorker::Absorbed { any_new, falsified, ok: true }));
-                        continue;
-                    }
-                    Ok(Err(_)) => quota_hit = true,
-                    Err(payload) => panic_payload = Some(payload),
-                }
-                let _ = tx.send((
-                    wid,
-                    FromWorker::Absorbed { any_new: false, falsified: false, ok: false },
-                ));
-                drain_until_stop(wid, rx, tx);
-                break;
-            }
-            ToWorker::Checkpoint => {
-                // Pure export: allocates nothing, cannot fail.
-                let pieces = state.checkpoint_pieces();
-                let _ = tx.send((wid, FromWorker::Checkpointed { pieces, ok: true }));
-            }
-            ToWorker::Stop => break,
-        }
-    }
-    if let Some(payload) = panic_payload {
-        resume_unwind(payload);
-    }
-    let (reorders, reorder_nodes_before, reorder_nodes_after) = state.ts.mgr.reorder_stats();
-    BddWorkerStats {
-        peak_live_nodes: state.ts.mgr.peak_live_nodes(),
-        allocated: state.ts.mgr.total_allocated(),
-        quota_hit,
-        reorders,
-        reorder_nodes_before,
-        reorder_nodes_after,
-    }
-}
-
-/// After a quota failure the worker keeps answering the protocol (every
-/// command gets its error-flavored report) until `Stop`, so the
-/// coordinator's fixed-count barriers never block on a dead worker.
-fn drain_until_stop(wid: usize, rx: &Receiver<ToWorker>, tx: &Sender<(usize, FromWorker)>) {
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            ToWorker::Round => {
-                let _ = tx.send((wid, FromWorker::Images { remote: Vec::new(), ok: false }));
-            }
-            ToWorker::Absorb(_) => {
-                let _ = tx.send((
-                    wid,
-                    FromWorker::Absorbed { any_new: false, falsified: false, ok: false },
-                ));
-            }
-            ToWorker::Checkpoint => {
-                let _ = tx.send((wid, FromWorker::Checkpointed { pieces: Vec::new(), ok: false }));
-            }
-            ToWorker::Stop => break,
-        }
-    }
-}
-
 /// Estimated per-window load: for each window cube, the node count
 /// every transition-relation cluster retains when the split variables
 /// are fixed to the window's polarity ([`veridic_bdd::BddManager::size_restricted`]
@@ -868,7 +222,7 @@ fn drain_until_stop(wid: usize, rx: &Receiver<ToWorker>, tx: &Sender<(usize, Fro
 /// cluster's nodes are cheap; windows that keep a cluster intact pay
 /// its full image cost every round. Deterministic for a given
 /// transition system, so every worker computes the identical vector.
-fn window_costs(ts: &TransitionSystem, split: &[u32], nparts: usize) -> Vec<u64> {
+pub(crate) fn window_costs(ts: &TransitionSystem, split: &[u32], nparts: usize) -> Vec<u64> {
     (0..nparts)
         .map(|w| {
             let fixed = |v: u32| -> Option<bool> {
@@ -892,7 +246,7 @@ fn window_costs(ts: &TransitionSystem, split: &[u32], nparts: usize) -> Vec<u64>
 /// no coordination; with all costs positive and at least as many
 /// windows as workers, every worker receives at least one window.
 /// Returns the window→worker map.
-fn assign_windows_lpt(costs: &[u64], workers: usize) -> Vec<usize> {
+pub(crate) fn assign_windows_lpt(costs: &[u64], workers: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..costs.len()).collect();
     order.sort_unstable_by(|&a, &b| costs[b].cmp(&costs[a]).then(a.cmp(&b)));
     let mut owner = vec![0usize; costs.len()];
@@ -905,171 +259,167 @@ fn assign_windows_lpt(costs: &[u64], workers: usize) -> Vec<usize> {
     owner
 }
 
-/// Builds one worker's window/reached/frontier state. On quota failure
-/// the transition system is consumed and its final accounting returned
-/// so the worker can report honest per-worker stats.
-fn worker_setup(
-    mut ts: TransitionSystem,
+// ---------------------------------------------------------------------
+// Threaded engine: one kernel per worker thread.
+// ---------------------------------------------------------------------
+
+/// Coordinator → worker commands, one round phase at a time.
+enum Cmd {
+    /// First half of a round ([`Kernel::images`]).
+    Images,
+    /// Second half ([`Kernel::absorb`]) with the routed pieces, sorted
+    /// by `(dst, src)`.
+    Absorb(Vec<RemotePiece>),
+    /// Export the owned windows (the budget suspended the run).
+    Checkpoint,
+}
+
+/// Worker → coordinator answers, one per command.
+enum Reply {
+    /// Setup done. `owner` is the kernel's window→worker assignment —
+    /// identical from every worker; the coordinator routes by it.
+    Built { falsified: bool, owner: Vec<usize> },
+    /// Pieces for other workers' windows, and whether an inline-absorbed
+    /// piece hit bad.
+    Images { remote: Vec<RemotePiece>, falsified: bool },
+    Absorbed(Step),
+    Checkpointed(Vec<CheckpointPiece>),
+}
+
+/// One worker thread's kernel.
+struct WindowWorker {
+    kernel: Kernel,
     wid: usize,
-    workers: usize,
-    window_vars: u32,
-    resume: Option<&ReachCheckpoint>,
-) -> Result<WindowWorker, BddWorkerStats> {
-    let fail = |ts: &TransitionSystem| {
-        let (reorders, reorder_nodes_before, reorder_nodes_after) = ts.mgr.reorder_stats();
-        BddWorkerStats {
-            peak_live_nodes: ts.mgr.peak_live_nodes(),
-            allocated: ts.mgr.total_allocated(),
-            quota_hit: true,
-            reorders,
-            reorder_nodes_before,
-            reorder_nodes_after,
-        }
-    };
-    // Every worker derives the identical split, costs and assignment
-    // from its identically built transition system — no coordination
-    // needed.
-    let split = choose_split_vars(&ts, window_vars);
-    let windows = match build_windows(&mut ts, &split) {
-        Ok(w) => w,
-        Err(_) => return Err(fail(&ts)),
-    };
-    let nparts = windows.len();
-    let owner = assign_windows_lpt(&window_costs(&ts, &split, nparts), workers);
-    let owned: Vec<usize> = (0..nparts).filter(|&w| owner[w] == wid).collect();
-    let mut reached = vec![NodeId::FALSE; nparts];
-    let mut frontier = vec![NodeId::FALSE; nparts];
-    match resume {
-        Some(ck) => {
-            assert_eq!(
-                ck.reached.len(),
-                nparts,
-                "checkpoint window count must match the re-derived split"
-            );
-            for &w in &owned {
-                // Imports arrive rooted — one registration per slot.
-                let r = match transfer::import(&ck.reached[w], &mut ts.mgr) {
-                    Ok(r) => r,
-                    Err(_) => return Err(fail(&ts)),
-                };
-                let f = match transfer::import_delta(&ck.frontier[w], &ck.reached[w], &mut ts.mgr)
-                {
-                    Ok(f) => f,
-                    Err(_) => return Err(fail(&ts)),
-                };
-                reached[w] = r;
-                frontier[w] = f;
+    quota_hit: bool,
+}
+
+impl Worker for WindowWorker {
+    type Cmd = Cmd;
+    type Reply = Reply;
+
+    fn answer(&mut self, cmd: Cmd) -> Option<Reply> {
+        let reply = match cmd {
+            Cmd::Images => {
+                let mut remote = Vec::new();
+                self.kernel
+                    .images(&mut serial_image, &mut remote)
+                    .map(|falsified| Reply::Images { remote, falsified })
             }
-        }
-        None => {
-            for &w in &owned {
-                let part = match ts.mgr.and(ts.init, windows[w]) {
-                    Ok(p) => p,
-                    Err(_) => return Err(fail(&ts)),
-                };
-                ts.mgr.protect(part); // reached slot
-                ts.mgr.protect(part); // frontier slot
-                reached[w] = part;
-                frontier[w] = part;
+            Cmd::Absorb(pieces) => {
+                self.kernel.absorb(&pieces).map(Reply::Absorbed).map_err(Fail::from)
             }
-        }
+            Cmd::Checkpoint => Ok(Reply::Checkpointed(self.kernel.checkpoint())),
+        };
+        self.quota_hit |= reply.is_err();
+        reply.ok()
     }
-    Ok(WindowWorker {
-        ts,
-        windows,
-        owned,
-        owner,
-        wid,
-        reached,
-        frontier,
-        local_pieces: Vec::new(),
+
+    fn accounting(&self) -> Vec<(usize, BddWorkerStats)> {
+        vec![(self.wid, accounting(&self.kernel.ts.mgr, self.quota_hit))]
+    }
+}
+
+/// The threaded engine: `workers` kernels, one per thread, driven by
+/// the coordinator's round protocol. Falsification takes precedence
+/// over quota failure in a mixed phase — a found intersection with bad
+/// is sound regardless of what other workers ran out of.
+fn threaded(
+    setup: &Setup<'_>,
+    workers: usize,
+    stats: &mut CheckStats,
+    budget: &mut Budget,
+) -> BddEngineOutcome {
+    let build = |wid: usize| -> BuildResult<WindowWorker> {
+        let mut kernel = setup.window_kernel(workers, wid).map_err(|ws| vec![(wid, ws)])?;
+        let falsified = kernel
+            .start(setup.resume)
+            .map_err(|_| vec![(wid, accounting(&kernel.ts.mgr, true))])?;
+        let owner = kernel.owner.clone();
+        Ok((WindowWorker { kernel, wid, quota_hit: false }, Reply::Built { falsified, owner }))
+    };
+    run_crew(workers, build, stats, |crew, built, stats| {
+        // Every worker derived the identical window→worker map; route by
+        // the first. The barrier has already gathered every reply, so
+        // concluding early leaves no worker unanswered.
+        let (mut owner, mut ok) = (None, true);
+        for reply in built {
+            match reply {
+                Some(Reply::Built { falsified: true, .. }) => {
+                    return BddEngineOutcome::FalsifiedAtDepth(0);
+                }
+                Some(Reply::Built { owner: map, .. }) => {
+                    owner.get_or_insert(map);
+                }
+                _ => ok = false,
+            }
+        }
+        match owner.filter(|_| ok) {
+            Some(owner) => setup
+                .run_rounds(&mut Coordinator { crew, owner }, stats, budget)
+                .unwrap_or(BddEngineOutcome::ResourceOut),
+            None => BddEngineOutcome::ResourceOut,
+        }
     })
 }
 
-impl WindowWorker {
-    fn init_intersects_bad(&self) -> bool {
-        self.owned
-            .iter()
-            .any(|&w| self.frontier[w] != NodeId::FALSE && self.ts.intersects_bad(self.frontier[w]))
-    }
+/// The coordinator's side of the threaded rounds.
+struct Coordinator<'c> {
+    crew: &'c Crew<Cmd, Reply>,
+    /// Window → owning worker, for routing.
+    owner: Vec<usize>,
+}
 
-    /// Phase A of a round: image every owned window's frontier and slice
-    /// it by all windows. Own-destined pieces stay local (protected);
-    /// pieces for other workers are exported immediately — before any
-    /// further allocation could trigger a collection — and shipped up.
-    fn images(&mut self) -> Result<Vec<RemotePiece>, OutOfNodes> {
-        let mut remote = Vec::new();
-        for &w in &self.owned {
-            let fr = self.frontier[w];
-            if fr == NodeId::FALSE {
-                continue;
-            }
-            let img = self.ts.image(fr)?;
-            self.ts.mgr.protect(img); // held across the whole window loop
-            for (dst, window) in self.windows.iter().enumerate() {
-                let part = self.ts.mgr.and(img, *window)?;
-                if part == NodeId::FALSE {
-                    continue;
+impl Rounds for Coordinator<'_> {
+    fn round(&mut self) -> Result<Step, Fail> {
+        self.crew.broadcast(|| Cmd::Images);
+        let mut inbox: Vec<Vec<RemotePiece>> = (0..self.crew.len()).map(|_| Vec::new()).collect();
+        let mut ok = true;
+        for reply in self.crew.gather() {
+            match reply {
+                Some(Reply::Images { falsified: true, .. }) => return Ok(Step::Falsified),
+                Some(Reply::Images { remote, .. }) => {
+                    for piece in remote {
+                        inbox[self.owner[piece.0]].push(piece);
+                    }
                 }
-                if self.owner[dst] == self.wid {
-                    self.ts.mgr.protect(part); // held until the absorb phase
-                    self.local_pieces.push((dst, w, part));
-                } else {
-                    remote.push((dst, w, transfer::export(&self.ts.mgr, part)));
-                }
+                _ => ok = false,
             }
-            self.ts.mgr.unprotect(img);
         }
-        Ok(remote)
+        if !ok {
+            return Err(Fail::Worker);
+        }
+        // Sorting each inbox by (dst, src) makes absorption order — and
+        // therefore node allocation — schedule-independent.
+        for (wid, mut pieces) in inbox.into_iter().enumerate() {
+            pieces.sort_unstable_by_key(|(dst, src, _)| (*dst, *src));
+            self.crew.send(wid, Cmd::Absorb(pieces));
+        }
+        let mut step = Step::Fixpoint;
+        for reply in self.crew.gather() {
+            match reply {
+                Some(Reply::Absorbed(Step::Falsified)) => return Ok(Step::Falsified),
+                Some(Reply::Absorbed(Step::Grew)) => step = Step::Grew,
+                Some(Reply::Absorbed(Step::Fixpoint)) => {}
+                _ => ok = false,
+            }
+        }
+        if ok {
+            Ok(step)
+        } else {
+            Err(Fail::Worker)
+        }
     }
 
-    /// Phase B: merge the round's local and imported pieces — sorted by
-    /// `(dst, src)` so allocation order is schedule-independent — into
-    /// the owned reached sets, checking each fresh set against bad.
-    fn absorb(&mut self, remote: Vec<RemotePiece>) -> Result<(bool, bool), OutOfNodes> {
-        let mut items: Vec<(usize, usize, NodeId)> = std::mem::take(&mut self.local_pieces);
-        for (dst, src, exported) in &remote {
-            let part = transfer::import(exported, &mut self.ts.mgr)?; // arrives rooted
-            items.push((*dst, *src, part));
-        }
-        items.sort_unstable_by_key(|(dst, src, _)| (*dst, *src));
-        let mut new_frontier = vec![NodeId::FALSE; self.windows.len()];
-        let mut any_new = false;
-        for (dst, _src, part) in items {
-            let fresh = self.ts.mgr.and_not(part, self.reached[dst])?;
-            self.ts.mgr.unprotect(part); // release the piece's root
-            if fresh == NodeId::FALSE {
-                continue;
+    fn checkpoint(&mut self) -> Option<Vec<CheckpointPiece>> {
+        self.crew.broadcast(|| Cmd::Checkpoint);
+        let mut pieces = Vec::new();
+        for reply in self.crew.gather() {
+            match reply {
+                Some(Reply::Checkpointed(p)) => pieces.extend(p),
+                _ => return None,
             }
-            if self.ts.intersects_bad(fresh) {
-                return Ok((any_new, true));
-            }
-            let r = self.ts.mgr.or(self.reached[dst], fresh)?;
-            self.ts.mgr.reroot(self.reached[dst], r);
-            self.reached[dst] = r;
-            let nf = self.ts.mgr.or(new_frontier[dst], fresh)?;
-            self.ts.mgr.reroot(new_frontier[dst], nf);
-            new_frontier[dst] = nf;
-            any_new = true;
         }
-        for &w in &self.owned {
-            self.ts.mgr.unprotect(self.frontier[w]);
-            self.frontier[w] = new_frontier[w];
-        }
-        Ok((any_new, false))
-    }
-
-    /// Exports the owned windows' reached/frontier sets for a
-    /// [`ReachCheckpoint`]. Pure read — no allocation, cannot fail.
-    fn checkpoint_pieces(&self) -> Vec<CheckpointPiece> {
-        self.owned
-            .iter()
-            .map(|&w| {
-                let reached = transfer::export(&self.ts.mgr, self.reached[w]);
-                let frontier = transfer::export_delta(&self.ts.mgr, self.frontier[w], &reached);
-                (w, reached, frontier)
-            })
-            .collect()
+        Some(pieces)
     }
 }
 
@@ -1334,9 +684,15 @@ mod tests {
         for (kill_workers, resume_workers) in [(1usize, 1usize), (2, 2), (1, 3), (2, 1)] {
             let mut s1 = CheckStats::default();
             let mut budget = Budget::rounds(7);
-            let suspended = pobdd_reach_session(
-                &g, 2, kill_workers, 1 << 20, 1000, false, false, &mut s1, &mut budget, None,
-            );
+            let opts = |workers| CheckOptions {
+                pobdd_window_vars: 2,
+                pobdd_workers: workers,
+                bdd_nodes: 1 << 20,
+                max_iterations: 1000,
+                ..CheckOptions::default()
+            };
+            let suspended =
+                pobdd_reach_session(&g, &opts(kill_workers), &mut s1, &mut budget, None);
             let ck = match suspended {
                 BddEngineOutcome::Suspended(ck) => ck,
                 other => panic!("7 rounds must suspend, got {other:?}"),
@@ -1346,12 +702,7 @@ mod tests {
             let mut s2 = CheckStats::default();
             let resumed = pobdd_reach_session(
                 &g,
-                2,
-                resume_workers,
-                1 << 20,
-                1000,
-                false,
-                false,
+                &opts(resume_workers),
                 &mut s2,
                 &mut Budget::unlimited(),
                 Some(&ck),
@@ -1391,6 +742,91 @@ mod tests {
                 s1.iterations, s2.iterations,
                 "engines must count completed rounds identically at quota={quota}"
             );
+        }
+    }
+
+    /// Serial accounting pin: exact outcome, completed rounds, peak live
+    /// nodes, allocations, quota hits and worker-entry count of the
+    /// serial engines — `bdd_umc` and `pobdd_reach(.., workers = 1)` at
+    /// 0 and 2 window variables — on one run that exhausts the quota
+    /// and one that stays within it, per design. Every value is a
+    /// function of the manager's op sequence, so this fails on any
+    /// change to the serial engines' order of BDD operations, root
+    /// registrations or accounting.
+    #[test]
+    fn serial_engine_accounting_is_pinned() {
+        type Pin = (BddEngineOutcome, usize, usize, u64, usize, usize);
+        let ro = BddEngineOutcome::ResourceOut;
+        let fa = BddEngineOutcome::FalsifiedAtDepth;
+        // (design, quota, max_iterations, [bdd_umc, pobdd wv=0, pobdd wv=2])
+        let cases: [(&str, Aig, usize, usize, [Pin; 3]); 4] = [
+            // Quota death mid-run, hundreds of rounds in.
+            (
+                "lfsr16",
+                lfsr16(),
+                1500,
+                1 << 20,
+                [
+                    (ro.clone(), 577, 1500, 19689, 1, 0),
+                    (ro.clone(), 577, 1500, 19689, 1, 1),
+                    (ro.clone(), 565, 1500, 19311, 1, 1),
+                ],
+            ),
+            // Within quota, stopped by the round limit.
+            (
+                "lfsr16",
+                lfsr16(),
+                1 << 20,
+                40,
+                [
+                    (ro.clone(), 40, 2584, 2583, 0, 0),
+                    (ro.clone(), 40, 2584, 2583, 0, 1),
+                    (ro.clone(), 40, 2582, 2581, 0, 1),
+                ],
+            ),
+            // Quota death while building the transition system.
+            (
+                "counter_with_bad",
+                counter_with_bad(12, 3000),
+                470,
+                1 << 20,
+                [
+                    (ro.clone(), 0, 470, 663, 1, 0),
+                    (ro.clone(), 0, 470, 663, 1, 1),
+                    (ro.clone(), 0, 470, 663, 1, 1),
+                ],
+            ),
+            // Concludes under a quota only garbage collection makes fit.
+            (
+                "counter_with_bad",
+                counter_with_bad(12, 3000),
+                510,
+                1 << 20,
+                [
+                    (fa(3000), 3000, 510, 16009, 0, 0),
+                    (fa(3000), 3000, 510, 16009, 0, 1),
+                    (fa(3000), 3000, 510, 18260, 0, 1),
+                ],
+            ),
+        ];
+        for (name, g, quota, max_iterations, pins) in &cases {
+            for (engine, pin) in pins.iter().enumerate() {
+                let mut s = CheckStats::default();
+                let outcome = match engine {
+                    0 => bdd_umc(g, *quota, *max_iterations, &mut s),
+                    1 => pobdd_reach(g, 0, 1, *quota, *max_iterations, &mut s),
+                    _ => pobdd_reach(g, 2, 1, *quota, *max_iterations, &mut s),
+                };
+                let got = (
+                    outcome,
+                    s.iterations,
+                    s.bdd_nodes,
+                    s.bdd_allocated,
+                    s.bdd_quota_hits,
+                    s.worker_bdd.len(),
+                );
+                assert_eq!(&got, pin, "{name} quota={quota} engine={engine}");
+            }
         }
     }
 }

@@ -148,17 +148,7 @@ impl Engine for BddUmcEngine {
             Some(EngineCheckpoint::Reach(r)) => Some(r),
             _ => None,
         };
-        match bdd_engine::bdd_umc_session(
-            ctx.aig,
-            ctx.opts.bdd_nodes,
-            ctx.opts.max_iterations,
-            ctx.opts.image_workers,
-            ctx.opts.dynamic_reorder,
-            ctx.opts.static_order,
-            ctx.stats,
-            ctx.budget,
-            resume,
-        ) {
+        match bdd_engine::bdd_umc_session(ctx.aig, ctx.opts, ctx.stats, ctx.budget, resume) {
             bdd_engine::BddEngineOutcome::Proved => EngineOutcome::Proved { k: None },
             bdd_engine::BddEngineOutcome::FalsifiedAtDepth(k) => {
                 EngineOutcome::FalsifiedAtDepth(k)
@@ -197,18 +187,7 @@ impl Engine for PobddEngine {
             Some(EngineCheckpoint::Reach(r)) => Some(r),
             _ => None,
         };
-        match pobdd::pobdd_reach_session(
-            ctx.aig,
-            ctx.opts.pobdd_window_vars,
-            ctx.opts.pobdd_workers,
-            ctx.opts.bdd_nodes,
-            ctx.opts.max_iterations,
-            ctx.opts.dynamic_reorder,
-            ctx.opts.static_order,
-            ctx.stats,
-            ctx.budget,
-            resume,
-        ) {
+        match pobdd::pobdd_reach_session(ctx.aig, ctx.opts, ctx.stats, ctx.budget, resume) {
             bdd_engine::BddEngineOutcome::Proved => EngineOutcome::Proved { k: None },
             bdd_engine::BddEngineOutcome::FalsifiedAtDepth(k) => {
                 EngineOutcome::FalsifiedAtDepth(k)

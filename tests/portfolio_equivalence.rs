@@ -324,17 +324,14 @@ fn killed_parallel_reachability_resumes_identically_via_facade() {
 fn monolithic_checkpoint_frontier_is_delta_encoded() {
     let g = counter6_bad_at_44();
     let mut stats = CheckStats::default();
-    let outcome = veridic::mc::bdd_umc_session(
-        &g,
-        1 << 20,
-        10_000,
-        1,
-        false,
-        false,
-        &mut stats,
-        &mut Budget::rounds(15),
-        None,
-    );
+    let opts = |image_workers| CheckOptions {
+        bdd_nodes: 1 << 20,
+        max_iterations: 10_000,
+        image_workers,
+        ..CheckOptions::default()
+    };
+    let outcome =
+        veridic::mc::bdd_umc_session(&g, &opts(1), &mut stats, &mut Budget::rounds(15), None);
     let ck = match outcome {
         BddEngineOutcome::Suspended(ck) => ck,
         other => panic!("expected a suspension, got {other:?}"),
@@ -353,11 +350,7 @@ fn monolithic_checkpoint_frontier_is_delta_encoded() {
         let mut s = CheckStats::default();
         let resumed = veridic::mc::bdd_umc_session(
             &g,
-            1 << 20,
-            10_000,
-            workers,
-            false,
-            false,
+            &opts(workers),
             &mut s,
             &mut Budget::unlimited(),
             Some(&ck),

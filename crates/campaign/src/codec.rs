@@ -937,16 +937,28 @@ mod tests {
         }
     }
 
+    /// A record round-trips, including the statistics and event log of a
+    /// real check — here one whose BMC run the induction cutoff stopped
+    /// at the depth it actually cleared.
     #[test]
     fn record_round_trips() {
+        // A stuck-at-0 latch is 1-inductive: BMC clears depth 0 and stops.
+        let mut aig = veridic_aig::Aig::new();
+        let (id, q) = aig.latch("q", false);
+        aig.set_next(id, q);
+        aig.add_bad("never", q);
+        let opts = veridic_mc::CheckOptions::builder().preanalysis(false).build();
+        let mut stats = CheckStats::default();
+        let verdict = veridic_mc::Portfolio::default().check_bad(&aig, 0, &opts, &mut stats);
+        assert_eq!(stats.events[0].outcome, EventOutcome::CleanToDepth(0));
         let record = PropertyRecord {
             module: "csr_file_0".into(),
             category: Category::C,
             vunit: "v_csr".into(),
             label: "parity_detects".into(),
             ptype: PropertyType::ErrorDetection,
-            verdict: Verdict::Proved { engine: "bmc-induction" },
-            stats: CheckStats { iterations: 5, ..CheckStats::default() },
+            verdict,
+            stats,
             duration: Duration::from_micros(12_345),
         };
         let bytes = encode_record(&record);

@@ -409,6 +409,37 @@ mod tests {
         assert_eq!(straight.stats, restarted.stats);
     }
 
+    /// The induction lane is sound on its own: on a 2-bit saturating
+    /// counter (bad = `count == 3`, step UNSAT at k = 4) it reaches
+    /// k = 4 before the BMC lane reaches depth 3, and must answer with
+    /// the depth-3 counterexample rather than a proof.
+    #[test]
+    fn induction_lane_does_not_prove_a_reachable_bad() {
+        let mut aig = Aig::new();
+        let (i0, q0) = aig.latch("c0", false);
+        let (i1, q1) = aig.latch("c1", false);
+        let full = aig.and(q0, q1);
+        let n0 = aig.or(!q0, full);
+        let n1 = aig.or(q1, q0);
+        aig.set_next(i0, n0);
+        aig.set_next(i1, n1);
+        aig.add_bad("count_is_3", full);
+        let opts = CheckOptions::default();
+        let scheduler = AdaptiveScheduler::new(1);
+        let mut state = scheduler.start(&aig, 0, &opts);
+        let result = loop {
+            match scheduler.step(&aig, &opts, state, None) {
+                AdaptiveStep::Continue(next) => state = next,
+                AdaptiveStep::Done(result) => break result,
+            }
+        };
+        let Verdict::Falsified(trace) = &result.verdict else {
+            panic!("count 3 is reachable: {:?}", result.verdict) // lint: allow
+        };
+        assert_eq!(trace.len(), 4);
+        assert!(trace.replays_on(&aig));
+    }
+
     #[test]
     fn all_lanes_retire_to_a_named_resource_out() {
         // An unreachable bad with budgets too small for any proof.

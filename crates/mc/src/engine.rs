@@ -259,8 +259,12 @@ pub enum EngineOutcome {
     /// not produce input traces (the BDD engines); the scheduler
     /// extracts the trace with a depth-pinned BMC run.
     FalsifiedAtDepth(usize),
-    /// The engine finished without concluding (BMC clean to its depth
-    /// bound, induction not k-inductive within its k bound).
+    /// No counterexample through this depth, and the engine stops
+    /// there (BMC at its depth bound, or earlier where the induction
+    /// cutoff showed that no deeper counterexample exists).
+    CleanToDepth(usize),
+    /// The engine finished without concluding (induction not
+    /// k-inductive within its k bound).
     Inconclusive,
     /// A per-engine resource (conflicts, nodes, iterations) ran out;
     /// the reason is the human-readable account the portfolio verdict
@@ -342,7 +346,7 @@ pub struct EventResources {
 pub enum EventOutcome {
     /// A counterexample was produced (and replayed).
     Falsified,
-    /// BMC exhausted its depth bound without a counterexample.
+    /// BMC stopped at this depth without a counterexample.
     CleanToDepth(usize),
     /// Induction proved at this k.
     ProvedAtK(usize),

@@ -4,9 +4,10 @@
 //! first-class **engine portfolio**:
 //!
 //! * **SAT BMC** — bounded unrolling for fast falsification and
-//!   counterexample extraction (the "commercial tool" role).
+//!   counterexample extraction (the "commercial tool" role), stopped
+//!   early once the k-induction step shows no deeper bug exists.
 //! * **k-induction** — SAT-based unbounded proof with simple-path
-//!   strengthening.
+//!   strengthening; it checks its own base case.
 //! * **BDD UMC** — forward symbolic reachability with clustered
 //!   transition relations and early quantification (unbounded proof).
 //! * **POBDD UMC** — partitioned-OBDD reachability, the reproduction of

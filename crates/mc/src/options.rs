@@ -12,9 +12,12 @@
 pub struct CheckOptions {
     /// Maximum BMC unrolling depth.
     pub bmc_depth: usize,
-    /// SAT conflict budget for each SAT engine call.
+    /// SAT conflict budget: spent once by each base-case unrolling
+    /// (BMC's, and the one k-induction checks its base case with), and
+    /// afresh by every induction step query.
     pub sat_conflicts: u64,
-    /// Maximum k for k-induction.
+    /// Maximum k for k-induction, and for the induction step BMC asks
+    /// to stop unrolling early.
     pub induction_depth: usize,
     /// Add simple-path (loop-free) constraints to induction steps.
     pub simple_path: bool,

@@ -2,11 +2,12 @@
 //! [`Engine`] implementations, with a typed event log and
 //! checkpoint/resume.
 //!
-//! [`Portfolio::default`] reproduces the historical hard-coded cascade
-//! exactly — BMC → k-induction → BDD UMC → POBDD UMC, gated by the
-//! `bdd_only`/`sat_only`/`pobdd_window_vars` options — verdicts, stats
-//! and rendered event strings included. Beyond the cascade it adds what
-//! the flat `check()` entry point never could:
+//! [`Portfolio::default`] is the paper's cascade — BMC → k-induction →
+//! BDD UMC → POBDD UMC, gated by the
+//! `bdd_only`/`sat_only`/`pobdd_window_vars` options — with the
+//! historical engine order, proof attributions and event strings.
+//! Beyond the cascade it adds what the flat `check()` entry point never
+//! could:
 //!
 //! * **custom policies** — any ordering of any [`Engine`]
 //!   implementations, each with an optional round cap
@@ -40,7 +41,9 @@ pub const PREANALYSIS: &str = "preanalysis";
 // ---------------------------------------------------------------------
 
 /// SAT bounded model checking: fast falsification up to
-/// [`CheckOptions::bmc_depth`].
+/// [`CheckOptions::bmc_depth`], cut off early once the induction step
+/// (within [`CheckOptions::induction_depth`]) shows that no deeper
+/// counterexample exists.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BmcEngine;
 
@@ -62,16 +65,9 @@ impl Engine for BmcEngine {
             Some(EngineCheckpoint::Bmc { next_depth }) => *next_depth,
             _ => 0,
         };
-        match bmc::bmc_check_budgeted(
-            ctx.aig,
-            min_depth,
-            ctx.opts.bmc_depth,
-            ctx.opts.sat_conflicts,
-            ctx.stats,
-            ctx.budget,
-        ) {
+        match bmc::bmc_check_budgeted(ctx.aig, min_depth, ctx.opts, ctx.stats, ctx.budget) {
             BmcOutcome::Falsified(t) => EngineOutcome::Falsified(t),
-            BmcOutcome::NoCounterexample => EngineOutcome::Inconclusive,
+            BmcOutcome::NoCounterexample { depth } => EngineOutcome::CleanToDepth(depth),
             BmcOutcome::ResourceOut => EngineOutcome::ResourceOut {
                 reason: format!("BMC conflict budget ({})", ctx.opts.sat_conflicts),
             },
@@ -83,7 +79,9 @@ impl Engine for BmcEngine {
 }
 
 /// SAT k-induction: unbounded proof up to
-/// [`CheckOptions::induction_depth`].
+/// [`CheckOptions::induction_depth`]. The engine checks its own base
+/// case, so a proof never rests on BMC having run first, and a dirty
+/// base case is returned as a counterexample.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct InductionEngine;
 
@@ -105,16 +103,9 @@ impl Engine for InductionEngine {
             Some(EngineCheckpoint::Induction { next_k }) => *next_k,
             _ => 1,
         };
-        match bmc::induction_check_budgeted(
-            ctx.aig,
-            min_k,
-            ctx.opts.induction_depth,
-            ctx.opts.simple_path,
-            ctx.opts.sat_conflicts,
-            ctx.stats,
-            ctx.budget,
-        ) {
+        match bmc::induction_check_budgeted(ctx.aig, min_k, ctx.opts, ctx.stats, ctx.budget) {
             InductionOutcome::Proved(k) => EngineOutcome::Proved { k: Some(k) },
+            InductionOutcome::Falsified(t) => EngineOutcome::Falsified(t),
             InductionOutcome::Unknown => EngineOutcome::Inconclusive,
             InductionOutcome::ResourceOut => {
                 EngineOutcome::ResourceOut { reason: "induction conflict budget".into() }
@@ -784,13 +775,8 @@ impl Portfolio {
                         ),
                     }
                 }
-                EngineOutcome::Inconclusive => {
-                    let event = match id {
-                        EngineId::Bmc => EventOutcome::CleanToDepth(opts.bmc_depth),
-                        _ => EventOutcome::Inconclusive,
-                    };
-                    push(stats, event);
-                }
+                EngineOutcome::CleanToDepth(depth) => push(stats, EventOutcome::CleanToDepth(depth)),
+                EngineOutcome::Inconclusive => push(stats, EventOutcome::Inconclusive),
                 EngineOutcome::ResourceOut { reason } => {
                     push(stats, EventOutcome::ResourceOut);
                     reasons.push(reason);
@@ -1129,7 +1115,9 @@ mod tests {
 
     /// Suspension inside the *SAT* engines checkpoints a cursor: BMC
     /// resumes at its next depth and still finds the bug at the same
-    /// depth.
+    /// depth — and a run suspended before the induction cutoff fires
+    /// resumes to the same clean depth and verdict as an uninterrupted
+    /// run.
     #[test]
     fn killed_bmc_resumes_at_next_depth() {
         let g = counter_aig(4, 9);
@@ -1145,6 +1133,108 @@ mod tests {
             Verdict::Falsified(t) => assert_eq!(t.len(), 10),
             other => panic!("expected falsification, got {other:?}"),
         }
+
+        // The wrapping counter is 2-inductive, so the cutoff stops BMC
+        // at depth 1; one round suspends it at depth 1 first.
+        let g = wrapping_counter();
+        let uninterrupted = portfolio.check(&g, &opts);
+        assert_eq!(
+            uninterrupted.stats.engines_tried(),
+            ["seven/bmc: clean to depth 1", "seven/induction: proved at k=2"]
+        );
+        let ck = portfolio
+            .run_with_budget(&g, &opts, &mut Budget::rounds(1))
+            .into_checkpoint()
+            .expect("one round stops BMC before the cutoff");
+        assert_eq!(ck.state, EngineCheckpoint::Bmc { next_depth: 1 });
+        let resumed = portfolio.resume(&g, &opts, ck).expect_done("resume concludes");
+        assert_eq!(resumed.verdict, uninterrupted.verdict);
+        assert_eq!(
+            resumed.stats.engines_tried(),
+            [
+                "seven/bmc: suspended",
+                "seven/bmc: clean to depth 1",
+                "seven/induction: proved at k=2"
+            ]
+        );
+    }
+
+    /// A 3-bit counter that wraps from 5 to 0, bad at 7: unreachable,
+    /// and 2-inductive under simple path (7's only predecessor, 6, has
+    /// none).
+    fn wrapping_counter() -> Aig {
+        let mut g = Aig::new();
+        let qs: Vec<_> = (0..3).map(|i| g.latch(format!("c{i}"), false)).collect();
+        let lits: Vec<Lit> = qs.iter().map(|(_, q)| *q).collect();
+        let at5 = count_is(&mut g, &lits, 5);
+        let mut carry = Lit::TRUE;
+        for (id, q) in &qs {
+            let inc = g.xor(*q, carry);
+            carry = g.and(*q, carry);
+            let next = g.and(inc, !at5);
+            g.set_next(*id, next);
+        }
+        let seven = count_is(&mut g, &lits, 7);
+        g.add_bad("seven", seven);
+        g
+    }
+
+    /// A 2-bit saturating counter 0 → 1 → 2 → 3 → 3 with bad =
+    /// `count == 3`: the simple-path step is UNSAT at k = 4, but the bad
+    /// is reachable at depth 3.
+    fn saturating_counter() -> Aig {
+        let mut g = Aig::new();
+        let (i0, q0) = g.latch("c0", false);
+        let (i1, q1) = g.latch("c1", false);
+        let full = g.and(q0, q1);
+        let n0 = g.or(!q0, full);
+        let n1 = g.or(q1, q0);
+        g.set_next(i0, n0);
+        g.set_next(i1, n1);
+        g.add_bad("count_is_3", full);
+        g
+    }
+
+    /// Induction owns its base case: with BMC stopping short of the
+    /// depth-3 bug, the step's k = 4 "proof" must not stand — the
+    /// induction engine's base solver finds the 4-cycle counterexample.
+    #[test]
+    fn induction_checks_its_own_base_case() {
+        let g = saturating_counter();
+        for bmc_depth in [1, 2] {
+            let opts = CheckOptions::builder().bmc_depth(bmc_depth).induction_depth(6).build();
+            let r = Portfolio::default().check(&g, &opts);
+            match &r.verdict {
+                Verdict::Falsified(t) => {
+                    assert_eq!(t.len(), 4, "bmc_depth={bmc_depth}");
+                    assert!(t.replays_on(&g));
+                }
+                other => panic!("bmc_depth={bmc_depth}: expected falsification, got {other:?}"),
+            }
+            assert_eq!(
+                r.stats.engines_tried(),
+                [
+                    format!("count_is_3/bmc: clean to depth {bmc_depth}"),
+                    "count_is_3/induction: falsified".to_string()
+                ]
+            );
+        }
+    }
+
+    /// The BMC event records the depth BMC actually cleared: the bound
+    /// when nothing cuts it off, the cutoff depth otherwise.
+    #[test]
+    fn bmc_event_records_the_cleared_depth() {
+        let opts = CheckOptions::builder().bmc_depth(12).build();
+        let bmc_event = |g: &Aig| {
+            let mut stats = CheckStats::default();
+            Portfolio::default().check_bad(g, 0, &opts, &mut stats);
+            stats.events[0].outcome.clone()
+        };
+        assert_eq!(bmc_event(&wrapping_counter()), EventOutcome::CleanToDepth(1));
+        // Bad at 15 of a 4-bit counter: not inductive within k <= 6 and
+        // deeper than the bound, so BMC runs to it.
+        assert_eq!(bmc_event(&counter_aig(4, 15)), EventOutcome::CleanToDepth(12));
     }
 
     /// A checkpoint resumed against the wrong portfolio must fail loud

@@ -29,7 +29,7 @@
 mod cnf;
 mod solver;
 
-pub use cnf::CnfBuilder;
+pub use cnf::{CnfBuilder, Frame};
 pub use solver::{SolveResult, Solver};
 
 use std::fmt;

@@ -39,6 +39,109 @@ struct Clause {
 
 type ClauseRef = usize;
 
+/// Marks a variable that is not in the [`VarHeap`].
+const ABSENT: u32 = u32::MAX;
+
+/// The decision order: a binary max-heap of variables by activity, ties
+/// to the lower index. Every unassigned variable is in the heap
+/// (assigned ones leave lazily when popped and return on backtrack), so
+/// the first unassigned variable popped is the highest-activity,
+/// lowest-index one — the choice of a linear scan over all variables,
+/// at logarithmic instead of linear cost per decision.
+#[derive(Clone, Debug, Default)]
+struct VarHeap {
+    heap: Vec<u32>,
+    /// Position of each variable in `heap`, or [`ABSENT`].
+    pos: Vec<u32>,
+}
+
+impl VarHeap {
+    fn before(activity: &[f64], a: u32, b: u32) -> bool {
+        let (x, y) = (activity[a as usize], activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    fn insert(&mut self, v: Var, activity: &[f64]) {
+        let v = v.0;
+        if self.pos.len() <= v as usize {
+            self.pos.resize(v as usize + 1, ABSENT);
+        }
+        if self.pos[v as usize] == ABSENT {
+            self.heap.push(v);
+            self.sift_up(self.heap.len() - 1, activity);
+        }
+    }
+
+    /// Restores the order after `v`'s activity grew.
+    fn increased(&mut self, v: Var, activity: &[f64]) {
+        if let Some(&i) = self.pos.get(v.0 as usize) {
+            if i != ABSENT {
+                self.sift_up(i as usize, activity);
+            }
+        }
+    }
+
+    fn pop(&mut self, activity: &[f64]) -> Option<Var> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop()?;
+        self.pos[top as usize] = ABSENT;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.sift_down(0, activity);
+        }
+        Some(Var(top))
+    }
+
+    /// Re-establishes the heap order from scratch (after a rescale,
+    /// which can turn distinct activities into ties).
+    fn rebuild(&mut self, activity: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !Self::before(activity, v, self.heap[parent]) {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            self.pos[self.heap[i] as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len()
+                && Self::before(activity, self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            if !Self::before(activity, self.heap[child], v) {
+                break;
+            }
+            self.heap[i] = self.heap[child];
+            self.pos[self.heap[i] as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 struct Watcher {
     cref: ClauseRef,
@@ -58,6 +161,7 @@ pub struct Solver {
     assigns: Vec<Assign>,
     polarity: Vec<bool>,
     activity: Vec<f64>,
+    order: VarHeap,
     level: Vec<u32>,
     reason: Vec<Option<ClauseRef>>,
     trail: Vec<Lit>,
@@ -93,6 +197,7 @@ impl Solver {
             assigns: Vec::new(),
             polarity: Vec::new(),
             activity: Vec::new(),
+            order: VarHeap::default(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -117,6 +222,7 @@ impl Solver {
         self.assigns.push(Assign::Undef);
         self.polarity.push(false);
         self.activity.push(0.0);
+        self.order.insert(v, &self.activity);
         self.level.push(0);
         self.reason.push(None);
         self.seen.push(false);
@@ -145,12 +251,11 @@ impl Solver {
     /// Adds a clause. Returns `false` if the solver is now known
     /// unsatisfiable at level zero (callers may stop adding).
     ///
-    /// # Panics
-    ///
-    /// Panics if called while the solver holds decisions (between
-    /// incremental `solve` calls is fine — the trail is backtracked).
+    /// The solver first backtracks to level zero, which discards the
+    /// model of a previous [`SolveResult::Sat`] answer: read it with
+    /// [`Solver::value`] before adding clauses.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        assert!(self.trail_lim.is_empty(), "add_clause at decision level > 0");
+        self.backtrack(0);
         if !self.ok {
             return false;
         }
@@ -323,6 +428,9 @@ impl Solver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.increased(v, &self.activity);
         }
     }
 
@@ -431,6 +539,7 @@ impl Solver {
             self.polarity[v] = self.assigns[v] == Assign::True;
             self.assigns[v] = Assign::Undef;
             self.reason[v] = None;
+            self.order.insert(Var(v as u32), &self.activity);
         }
         self.trail.truncate(lim);
         self.trail_lim.truncate(level as usize);
@@ -438,24 +547,14 @@ impl Solver {
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
-        // Highest-activity unassigned variable (linear scan is fine at the
-        // problem sizes of leaf-module cones; a heap would change nothing
-        // semantically).
-        let mut best: Option<Var> = None;
-        let mut best_act = -1.0f64;
-        for v in 0..self.assigns.len() {
-            if self.assigns[v] == Assign::Undef && self.activity[v] > best_act {
-                best_act = self.activity[v];
-                best = Some(Var(v as u32));
+        // Highest-activity unassigned variable, ties to the lower index.
+        let v = loop {
+            let v = self.order.pop(&self.activity)?;
+            if self.assigns[v.0 as usize] == Assign::Undef {
+                break v;
             }
-        }
-        best.map(|v| {
-            if self.polarity[v.0 as usize] {
-                Lit::pos(v)
-            } else {
-                Lit::neg(v)
-            }
-        })
+        };
+        Some(if self.polarity[v.0 as usize] { Lit::pos(v) } else { Lit::neg(v) })
     }
 
     fn reduce_db(&mut self) {
@@ -787,6 +886,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The heap pops in the linear scan's order — highest activity
+    /// first, ties to the lower index — through bumps, rescale-style
+    /// rebuilds and re-insertions.
+    #[test]
+    fn var_heap_matches_the_linear_scan_order() {
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut rnd = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let n = 200u32;
+        let mut activity: Vec<f64> = (0..n).map(|_| (rnd() % 8) as f64).collect();
+        let mut heap = VarHeap::default();
+        for v in 0..n {
+            heap.insert(Var(v), &activity);
+        }
+        for v in (0..n).step_by(3) {
+            activity[v as usize] += 2.5;
+            heap.increased(Var(v), &activity);
+        }
+        for a in &mut activity {
+            *a = (*a / 4.0).floor(); // ties appear, as after a rescale
+        }
+        heap.rebuild(&activity);
+        let mut first: Vec<Var> = (0..20).filter_map(|_| heap.pop(&activity)).collect();
+        for v in first.drain(..10) {
+            heap.insert(v, &activity);
+        }
+        let mut want: Vec<u32> = (0..n).filter(|v| !first.contains(&Var(*v))).collect();
+        want.sort_by(|&a, &b| activity[b as usize].total_cmp(&activity[a as usize]).then(a.cmp(&b)));
+        let got: Vec<u32> = std::iter::from_fn(|| heap.pop(&activity)).map(|v| v.0).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //!   workload shape: stereotype vunits, assumes, multi-bad AIGs),
 //! * the full small-chip campaign, record by record, Table-2 rendering
 //!   included.
+//!
+//! A further proptest over both design sources pins that BMC's
+//! induction cutoff never changes what BMC finds.
 
 use proptest::prelude::*;
 use veridic::mc::BddEngineOutcome;
@@ -139,6 +142,69 @@ fn design_strategy() -> impl Strategy<Value = Design> {
     ]
 }
 
+/// One stereotype vunit of a chipgen leaf module (from the clean or the
+/// bug-seeded small chip) as a multi-bad AIG — every assert a bad, every
+/// assume a constraint — plus a description for failure messages.
+fn chipgen_property(module_idx: usize, with_bugs: bool, vunit_idx: usize) -> (Aig, String) {
+    let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs });
+    let modules = chip.modules();
+    let mi = &modules[module_idx % modules.len()];
+    let module = chip.design().module(mi.name()).unwrap();
+    let vm = make_verifiable(module).unwrap();
+    let vunits = generate_all(&vm).unwrap();
+    let (_, compiled) = &vunits[vunit_idx % vunits.len()];
+    let lowered = compiled.module.to_aig().unwrap();
+    let mut aig = lowered.aig.clone();
+    for (label, net) in &compiled.asserts {
+        aig.add_bad(label.clone(), lowered.bit(*net, 0));
+    }
+    for (label, net) in &compiled.assumes {
+        aig.add_constraint(label.clone(), !lowered.bit(*net, 0));
+    }
+    (aig, format!("{}:{vunit_idx} with_bugs={with_bugs}", mi.name()))
+}
+
+/// The induction cutoff is invisible in the verdicts: for every bad,
+/// the default portfolio falsifies exactly when a cutoff-free BMC-only
+/// run to `bmc_depth` does, at the same counterexample length — and it
+/// is BMC itself that falsifies, so the cutoff never stopped it before
+/// the bug. No BMC event claims a depth beyond `bmc_depth`.
+fn assert_cutoff_matches_plain_bmc(aig: &Aig, what: &str) {
+    let opts = CheckOptions::default();
+    let plain_opts = CheckOptions::builder().induction_depth(0).build();
+    let plain_bmc = Portfolio::empty().with(Box::new(veridic::mc::BmcEngine));
+    for bad in 0..aig.bads().len() {
+        let mut stats = CheckStats::default();
+        let full = Portfolio::default().check_bad(aig, bad, &opts, &mut stats);
+        let plain = plain_bmc.check_bad(aig, bad, &plain_opts, &mut CheckStats::default());
+        let mut bmc_events = stats.events.iter().filter(|e| e.engine == EngineId::Bmc);
+        match (&plain, &full) {
+            (Verdict::Falsified(a), Verdict::Falsified(b)) => {
+                assert_eq!(a.len(), b.len(), "cex length diverged on bad {bad} of {what}");
+                assert!(
+                    bmc_events.all(|e| e.outcome == EventOutcome::Falsified),
+                    "the cutoff stopped BMC before a depth-{} bug on bad {bad} of {what}",
+                    a.len() - 1
+                );
+            }
+            (Verdict::Falsified(_), other) => {
+                panic!("the cutoff hid a BMC counterexample on bad {bad} of {what}: {other:?}")
+            }
+            (_, Verdict::Falsified(b)) => assert!(
+                b.len() > opts.bmc_depth + 1,
+                "BMC missed a depth-{} bug on bad {bad} of {what}",
+                b.len() - 1
+            ),
+            _ => {}
+        }
+        for event in stats.events.iter().filter(|e| e.engine == EngineId::Bmc) {
+            if let EventOutcome::CleanToDepth(depth) = event.outcome {
+                assert!(depth <= opts.bmc_depth, "BMC event past bmc_depth on {what}: {event}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -167,25 +233,26 @@ proptest! {
         bug_coin in 0u32..2,
         vunit_idx in 0usize..4,
     ) {
-        let with_bugs = bug_coin == 1;
-        let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs });
-        let modules = chip.modules();
-        let mi = &modules[module_idx % modules.len()];
-        let module = chip.design().module(mi.name()).unwrap();
-        let vm = make_verifiable(module).unwrap();
-        let vunits = generate_all(&vm).unwrap();
-        let (_, compiled) = &vunits[vunit_idx % vunits.len()];
-        let lowered = compiled.module.to_aig().unwrap();
-        let mut aig = lowered.aig.clone();
-        for (label, net) in &compiled.asserts {
-            aig.add_bad(label.clone(), lowered.bit(*net, 0));
-        }
-        for (label, net) in &compiled.assumes {
-            aig.add_constraint(label.clone(), !lowered.bit(*net, 0));
-        }
-        assert_self_consistent(&aig, &CheckOptions::default(), &format!(
-            "{}:{} with_bugs={with_bugs}", mi.name(), vunit_idx
-        ));
+        let (aig, what) = chipgen_property(module_idx, bug_coin == 1, vunit_idx);
+        assert_self_consistent(&aig, &CheckOptions::default(), &what);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The cutoff contract on random small designs and random chipgen
+    /// leaf properties alike.
+    #[test]
+    fn bmc_cutoff_matches_plain_bmc(
+        design in design_strategy(),
+        module_idx in 0usize..32,
+        bug_coin in 0u32..2,
+        vunit_idx in 0usize..4,
+    ) {
+        assert_cutoff_matches_plain_bmc(&build(&design), &format!("{design:?}"));
+        let (aig, what) = chipgen_property(module_idx, bug_coin == 1, vunit_idx);
+        assert_cutoff_matches_plain_bmc(&aig, &what);
     }
 }
 
@@ -381,22 +448,7 @@ proptest! {
         bug_coin in 0u32..2,
         vunit_idx in 0usize..4,
     ) {
-        let with_bugs = bug_coin == 1;
-        let chip = Chip::generate(&ChipConfig { scale: Scale::Small, with_bugs });
-        let modules = chip.modules();
-        let mi = &modules[module_idx % modules.len()];
-        let module = chip.design().module(mi.name()).unwrap();
-        let vm = make_verifiable(module).unwrap();
-        let vunits = generate_all(&vm).unwrap();
-        let (_, compiled) = &vunits[vunit_idx % vunits.len()];
-        let lowered = compiled.module.to_aig().unwrap();
-        let mut aig = lowered.aig.clone();
-        for (label, net) in &compiled.asserts {
-            aig.add_bad(label.clone(), lowered.bit(*net, 0));
-        }
-        for (label, net) in &compiled.assumes {
-            aig.add_constraint(label.clone(), !lowered.bit(*net, 0));
-        }
+        let (aig, what) = chipgen_property(module_idx, bug_coin == 1, vunit_idx);
         let with_workers = |w: usize| {
             CheckOptions::builder()
                 .bdd_only(true)
@@ -408,7 +460,6 @@ proptest! {
                 .image_workers(w)
                 .build()
         };
-        let what = format!("{}:{} with_bugs={}", mi.name(), vunit_idx, with_bugs);
         let serial = Portfolio::default().check(&aig, &with_workers(1));
         let mut parallel_stats = Vec::new();
         // `0` resolves to the CPU count, so on a single-core host it is

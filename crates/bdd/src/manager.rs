@@ -3,8 +3,10 @@
 //! collection with node recycling.
 
 use crate::hash::{FxHashMap, FxHashSet};
+use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
+use std::mem::{size_of, take};
 
 /// Identifier of a BDD node within a [`BddManager`] — a *complement
 /// edge*: bit 0 is the complement tag, the remaining bits index the node
@@ -187,22 +189,90 @@ pub struct BddManager {
     cache_max_age: Option<u32>,
 }
 
+/// The containers of a dropped manager, emptied with their capacity
+/// kept, so the next manager built on the same thread starts with
+/// grown tables instead of asking the allocator (and, for large
+/// tables, the kernel) for fresh memory.
+///
+/// Reuse cannot change a result: the tables are only probed by key,
+/// and the only walks over them — `roots.keys()` in GC marking and in
+/// the sift's pinned set — feed order-free set computations, so a
+/// recycled manager performs exactly the operations, allocations and
+/// collections of a fresh one.
+#[derive(Default)]
+struct Tables {
+    nodes: Vec<Node>,
+    unique: FxHashMap<(u32, NodeId, NodeId), NodeId>,
+    ite_cache: FxHashMap<(NodeId, NodeId, NodeId), (NodeId, u32)>,
+    exists_cache: FxHashMap<(NodeId, NodeId), (NodeId, u32)>,
+    and_exists_cache: FxHashMap<(NodeId, NodeId, NodeId), (NodeId, u32)>,
+    rename_cache: FxHashMap<(NodeId, u64), (NodeId, u32)>,
+    and_cache: FxHashMap<(NodeId, NodeId), (NodeId, u32)>,
+    free_list: Vec<u32>,
+    roots: FxHashMap<u32, u32>,
+}
+
+/// Tables bigger than this (by [`BddManager::table_bytes`]) are freed
+/// on drop rather than parked: a thread keeps at most this much memory
+/// between checks, so the spare cannot add a quota-sized run's tables
+/// to every campaign thread's footprint.
+const SPARE_MAX_BYTES: usize = 32 << 20;
+
+thread_local! {
+    /// One spare set of tables per thread: the last dropped manager's,
+    /// taken by the next [`BddManager::new`] on the thread.
+    static SPARE: Cell<Option<Tables>> = const { Cell::new(None) };
+}
+
+impl Drop for BddManager {
+    fn drop(&mut self) {
+        if self.table_bytes() > SPARE_MAX_BYTES {
+            return;
+        }
+        let mut t = Tables {
+            nodes: take(&mut self.nodes),
+            unique: take(&mut self.unique),
+            ite_cache: take(&mut self.ite_cache),
+            exists_cache: take(&mut self.exists_cache),
+            and_exists_cache: take(&mut self.and_exists_cache),
+            rename_cache: take(&mut self.rename_cache),
+            and_cache: take(&mut self.and_cache),
+            free_list: take(&mut self.free_list),
+            roots: take(&mut self.roots),
+        };
+        t.nodes.clear();
+        t.unique.clear();
+        t.ite_cache.clear();
+        t.exists_cache.clear();
+        t.and_exists_cache.clear();
+        t.rename_cache.clear();
+        t.and_cache.clear();
+        t.free_list.clear();
+        t.roots.clear();
+        // During thread teardown the slot may already be gone; the
+        // tables are then simply freed.
+        let _ = SPARE.try_with(|spare| spare.set(Some(t)));
+    }
+}
+
 impl BddManager {
     /// Creates a manager with the given quota on **live** nodes.
     pub fn new(max_nodes: usize) -> Self {
+        let mut t = SPARE.try_with(Cell::take).ok().flatten().unwrap_or_default();
+        t.nodes.push(Node { var: TERMINAL_VAR, lo: NodeId::TRUE, hi: NodeId::TRUE });
         BddManager {
-            nodes: vec![Node { var: TERMINAL_VAR, lo: NodeId::TRUE, hi: NodeId::TRUE }],
-            unique: FxHashMap::default(),
-            ite_cache: FxHashMap::default(),
-            exists_cache: FxHashMap::default(),
-            and_exists_cache: FxHashMap::default(),
-            rename_cache: FxHashMap::default(),
-            and_cache: FxHashMap::default(),
+            nodes: t.nodes,
+            unique: t.unique,
+            ite_cache: t.ite_cache,
+            exists_cache: t.exists_cache,
+            and_exists_cache: t.and_exists_cache,
+            rename_cache: t.rename_cache,
+            and_cache: t.and_cache,
             ite_tasks: Vec::new(),
             ite_results: Vec::new(),
             cache_epoch: 0,
-            free_list: Vec::new(),
-            roots: FxHashMap::default(),
+            free_list: t.free_list,
+            roots: t.roots,
             max_nodes,
             peak_live: 1,
             total_allocated: 0,
@@ -381,6 +451,24 @@ impl BddManager {
     /// caches sized to the current wavefront.
     pub fn set_cache_max_age(&mut self, age: Option<u32>) {
         self.cache_max_age = age;
+    }
+
+    /// Approximate heap bytes held by the node table, the unique table,
+    /// the op caches, the free list and the root set, by capacity.
+    fn table_bytes(&self) -> usize {
+        fn map<K, V>(m: &FxHashMap<K, V>) -> usize {
+            // One control byte per bucket besides the entry itself.
+            m.capacity() * (size_of::<(K, V)>() + 1)
+        }
+        self.nodes.capacity() * size_of::<Node>()
+            + self.free_list.capacity() * size_of::<u32>()
+            + map(&self.unique)
+            + map(&self.ite_cache)
+            + map(&self.exists_cache)
+            + map(&self.and_exists_cache)
+            + map(&self.rename_cache)
+            + map(&self.and_cache)
+            + map(&self.roots)
     }
 
     /// Number of **live** nodes (including the terminal): allocated slots
@@ -1093,6 +1181,43 @@ mod tests {
         assert!(m.total_allocated() > m.peak_live_nodes() as u64, "churn exceeded the peak");
         assert!(m.eval(acc, &|_| true));
         assert!(!m.eval(acc, &|v| v != 3));
+    }
+
+    /// A manager built on a thread that dropped one before starts from
+    /// the dropped tables — capacity kept, contents gone — and performs
+    /// exactly the allocations and collections of a fresh one, down to
+    /// the node ids it hands out.
+    #[test]
+    fn dropped_tables_are_recycled_without_changing_results() {
+        fn workload(m: &mut BddManager) -> (Vec<NodeId>, usize, usize, u64, u64) {
+            let vars: Vec<NodeId> = (0..8).map(|v| m.var(v).unwrap()).collect();
+            for &v in &vars {
+                m.protect(v);
+            }
+            m.set_gc_growth_threshold(Some(8));
+            churn(m, &vars, 64);
+            let mut acc = vars[0];
+            m.protect(acc);
+            for &v in &vars[1..] {
+                let a2 = m.xor(acc, v).unwrap();
+                m.reroot(acc, a2);
+                acc = a2;
+            }
+            let ex = m.exists(acc, vars[3]).unwrap();
+            (vec![acc, ex], m.num_nodes(), m.peak_live_nodes(), m.total_allocated(), m.total_freed())
+        }
+        drop(SPARE.with(Cell::take)); // whatever an earlier test parked here
+        let mut fresh = BddManager::new(1 << 10);
+        let expected = workload(&mut fresh);
+        assert!(expected.4 > 0, "the workload must collect");
+        let capacity = fresh.nodes.capacity();
+        drop(fresh);
+        let mut recycled = BddManager::new(1 << 10);
+        assert_eq!(recycled.nodes.capacity(), capacity, "the dropped node table is reused");
+        assert_eq!(recycled.num_nodes(), 1);
+        assert!(recycled.unique.is_empty() && recycled.roots.is_empty());
+        assert!(recycled.ite_cache.is_empty() && recycled.and_cache.is_empty());
+        assert_eq!(workload(&mut recycled), expected);
     }
 
     #[test]

@@ -33,10 +33,12 @@ fn order(c: &mut Criterion) {
 
     // Pure BDD UMC: SAT/induction would prove the twin invariant
     // instantly and hide the ordering effect entirely.
+    // The FORCE order is on by default: the natural and dynamic ids turn
+    // it off so each ablates exactly one ordering mechanism.
     let base = CheckOptions::builder().bdd_only(true).pobdd_window_vars(0).bdd_nodes(1 << 21);
-    let natural = base.clone().build();
+    let natural = base.clone().static_order(false).build();
     let static_order = base.clone().static_order(true).build();
-    let dynamic = base.clone().dynamic_reorder(true).build();
+    let dynamic = base.clone().static_order(false).dynamic_reorder(true).build();
 
     let natural_peak = std::cell::Cell::new(0usize);
     let static_peak = std::cell::Cell::new(0usize);

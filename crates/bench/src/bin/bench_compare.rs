@@ -15,8 +15,11 @@
 //! see. `--fail-on-regression <prefix>` turns the report into a gate
 //! for the bench ids under that prefix: any such id more than 25%
 //! slower than its baseline — or missing from the run — fails the
-//! invocation with exit 1. CI gates `fig7/` this way: those runs are
-//! seconds-long fixpoints, far above one-shot noise.
+//! invocation with exit 1, and so does any `nodes:<id>` baseline key
+//! under the prefix whose peak-live count the run does not reproduce
+//! exactly (or does not report at all). CI gates `fig7/` and `order/`
+//! this way: those runs are seconds-long fixpoints, far above one-shot
+//! noise, and their node counts are deterministic.
 
 use std::collections::BTreeMap;
 
@@ -77,6 +80,32 @@ fn gate_failures(
                 }
             }
             None => failures.push(format!("{name}: missing from this run")),
+        }
+    }
+    failures
+}
+
+/// The node half of the `--fail-on-regression` gate: every
+/// `nodes:<id>` baseline key under `prefix` whose deterministic
+/// peak-live count differs from this run's, or that this run does not
+/// report. A peak-live count is a function of the engines' operation
+/// sequence alone, so any difference — up or down — is a behaviour
+/// change the baseline has not recorded.
+fn node_gate_failures(
+    node_baseline: &BTreeMap<String, f64>,
+    current_nodes: &BTreeMap<String, u64>,
+    prefix: &str,
+) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (name, base_n) in node_baseline {
+        if !name.starts_with(prefix) {
+            continue;
+        }
+        match current_nodes.get(name.as_str()) {
+            Some(cur_n) if *cur_n as f64 == *base_n => {}
+            Some(cur_n) => failures
+                .push(format!("nodes:{name}: peak_live {} -> {cur_n} (must match)", *base_n as u64)),
+            None => failures.push(format!("nodes:{name}: peak_live missing from this run")),
         }
     }
     failures
@@ -206,12 +235,14 @@ fn main() {
     }
 
     if let Some(prefix) = &fail_prefix {
-        let failures = gate_failures(&baseline, &current, prefix);
+        let mut failures = gate_failures(&baseline, &current, prefix);
+        failures.extend(node_gate_failures(&node_baseline, &current_nodes, prefix));
         println!();
         if failures.is_empty() {
             println!(
                 "Gate: no `{prefix}*` bench regressed more than \
-                 {GATE_THRESHOLD_PCT:.0}% vs baseline"
+                 {GATE_THRESHOLD_PCT:.0}% vs baseline, and every `nodes:{prefix}*` \
+                 peak-live count matches"
             );
         } else {
             eprintln!("Gate FAILED: `{prefix}*` benches regressed vs baseline:");
@@ -351,6 +382,34 @@ mod tests {
         current.insert("fig7/monolithic_generous".to_string(), 12.0); // +20%
         current.insert("fig7/gone".to_string(), 2.0);
         assert!(gate_failures(&baseline, &current, "fig7/").is_empty());
+    }
+
+    #[test]
+    fn node_gate_flags_any_changed_or_missing_peak() {
+        let mut node_baseline = BTreeMap::new();
+        node_baseline.insert("order/natural".to_string(), 253916.0);
+        node_baseline.insert("order/static_order".to_string(), 1497.0);
+        node_baseline.insert("order/dynamic_reorder".to_string(), 253916.0);
+        node_baseline.insert("fig7/monolithic_generous".to_string(), 2097152.0);
+        let mut current = BTreeMap::new();
+        current.insert("order/natural".to_string(), 1497u64); // fewer: still a change
+        current.insert("order/static_order".to_string(), 1497u64);
+        current.insert("fig7/monolithic_generous".to_string(), 1u64); // unprefixed
+
+        let failures = node_gate_failures(&node_baseline, &current, "order/");
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures[0].starts_with("nodes:order/dynamic_reorder: peak_live missing"));
+        assert!(failures[1].starts_with("nodes:order/natural: peak_live 253916 -> 1497"));
+
+        current.insert("order/natural".to_string(), 253916);
+        current.insert("order/dynamic_reorder".to_string(), 253916);
+        assert!(node_gate_failures(&node_baseline, &current, "order/").is_empty());
+        // Parsed from bench output, the same way main() feeds the gate.
+        let out = "order/natural  peak_live 253916 nodes\n\
+                   order/static_order  peak_live 1497 nodes\n\
+                   order/dynamic_reorder  peak_live 253917 nodes\n";
+        let failures = node_gate_failures(&node_baseline, &parse_peak_nodes(out), "order/");
+        assert_eq!(failures, ["nodes:order/dynamic_reorder: peak_live 253916 -> 253917 (must match)"]);
     }
 
     #[test]

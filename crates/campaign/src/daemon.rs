@@ -21,8 +21,9 @@
 use std::collections::BTreeMap;
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -154,10 +155,80 @@ fn job_ids(dir: &CampaignDir) -> Result<Vec<usize>, DaemonError> {
     Ok(ids)
 }
 
+/// The pid in a lock owner token `<pid> <start time>` if that process
+/// is still alive: same pid *and* same start time, so a pid reused by
+/// an unrelated process does not pass for a dead daemon.
+fn live_owner(token: &str) -> Option<u32> {
+    let mut fields = token.split_whitespace();
+    let pid: u32 = fields.next()?.parse().ok()?;
+    let start: u64 = fields.next()?.parse().ok()?;
+    (signal::start_time(pid) == Some(start)).then_some(pid)
+}
+
 fn read_pid_lock(dir: &CampaignDir) -> Option<u32> {
-    let text = fs::read_to_string(dir.pid_path()).ok()?;
-    let pid: u32 = text.trim().parse().ok()?;
-    signal::pid_alive(pid).then_some(pid)
+    live_owner(&fs::read_to_string(dir.pid_path()).ok()?)
+}
+
+/// A held `daemon.pid` lock; dropping it releases the lock, so every
+/// exit path of [`run`] (errors included) frees the campaign.
+struct PidLock(PathBuf);
+
+impl Drop for PidLock {
+    fn drop(&mut self) {
+        fs::remove_file(&self.0).ok();
+    }
+}
+
+/// Takes the single-daemon lock of `dir`, or reports the live owner.
+///
+/// The owner token is written to a private file created with
+/// `create_new` and published by `hard_link`, which atomically fails if
+/// the lock exists: of two daemons started together exactly one wins,
+/// and no reader ever sees a half-written token. A lock whose owner is
+/// dead (or whose pid now names another process) is moved aside and
+/// the claim retried; if what was moved turns out to be a lock another
+/// daemon took in the meantime, it is put back.
+fn acquire_lock(dir: &CampaignDir) -> Result<PidLock, DaemonError> {
+    static CLAIMS: AtomicU64 = AtomicU64::new(0);
+    let path = dir.pid_path();
+    let pid = std::process::id();
+    let start = signal::start_time(pid)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "own /proc/<pid>/stat"))?;
+    let claim = CLAIMS.fetch_add(1, Ordering::Relaxed);
+    let private = path.with_extension(format!("pid.{pid}.{claim}"));
+    let aside = path.with_extension(format!("pid.{pid}.{claim}.stale"));
+    OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(&private)?
+        .write_all(format!("{pid} {start}\n").as_bytes())?;
+    let outcome = claim_lock(&private, &path, &aside);
+    fs::remove_file(&private).ok();
+    outcome
+}
+
+/// The claim loop of [`acquire_lock`]: publishes `private` as `path`,
+/// moving a dead owner's lock to `aside` first.
+fn claim_lock(private: &Path, path: &Path, aside: &Path) -> Result<PidLock, DaemonError> {
+    for _ in 0..8 {
+        match fs::hard_link(private, path) {
+            Ok(()) => return Ok(PidLock(path.to_path_buf())),
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {}
+            Err(e) => return Err(e.into()),
+        }
+        let Ok(held) = fs::read_to_string(path) else { continue };
+        if let Some(owner) = live_owner(&held) {
+            return Err(DaemonError::AlreadyRunning { pid: owner });
+        }
+        if fs::rename(path, aside).is_err() {
+            continue; // another daemon moved it first
+        }
+        if fs::read_to_string(aside).ok().as_deref() != Some(held.as_str()) {
+            fs::hard_link(aside, path).ok();
+        }
+        fs::remove_file(aside).ok();
+    }
+    Err(io::Error::new(io::ErrorKind::WouldBlock, "campaign lock kept changing hands").into())
 }
 
 /// Summarizes a campaign directory without touching its state.
@@ -323,12 +394,7 @@ pub fn run(root: &Path) -> Result<RunOutcome, DaemonError> {
     let spec_text = fs::read_to_string(dir.spec_path()).map_err(|_| DaemonError::NotSubmitted)?;
     let spec = CampaignSpec::parse(&spec_text).map_err(DaemonError::Spec)?;
 
-    if let Some(pid) = read_pid_lock(&dir) {
-        if pid != std::process::id() {
-            return Err(DaemonError::AlreadyRunning { pid });
-        }
-    }
-    write_atomic(&dir.pid_path(), std::process::id().to_string().as_bytes())?;
+    let _lock = acquire_lock(&dir)?;
 
     // Journal recovery: dead `running` pids are orphans and re-queue;
     // their persisted checkpoints make the re-run a resume, not a
@@ -459,7 +525,6 @@ pub fn run(root: &Path) -> Result<RunOutcome, DaemonError> {
                     let _ = slot.child.wait();
                 }
             }
-            fs::remove_file(dir.pid_path()).ok();
             return Ok(RunOutcome::Interrupted { done: sup.done.len(), total });
         }
         for slot in &mut sup.workers {
@@ -480,13 +545,77 @@ pub fn run(root: &Path) -> Result<RunOutcome, DaemonError> {
     let chip = Chip::generate(&spec.chip_config());
     write_atomic(&dir.table2_path(), report.render_table2(&chip).as_bytes())?;
     append_ndjson(&dir, &report.to_json())?;
-    fs::remove_file(dir.pid_path()).ok();
     Ok(RunOutcome::Completed(Box::new(report)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn lock_dir(tag: &str) -> CampaignDir {
+        let root = std::env::temp_dir().join(format!("veridic-lock-{tag}-{}", std::process::id()));
+        fs::remove_dir_all(&root).ok();
+        fs::create_dir_all(&root).unwrap();
+        CampaignDir::new(&root)
+    }
+
+    /// Claims racing from several threads at once: exactly one holds
+    /// the lock, every other one names the holder's pid, and the lock
+    /// is free again once the holder drops it.
+    #[test]
+    fn concurrent_claims_admit_exactly_one_owner() {
+        let dir = lock_dir("race");
+        let start = std::sync::Barrier::new(4);
+        let done = std::sync::Barrier::new(4);
+        let results: Vec<Result<(), u32>> = std::thread::scope(|s| {
+            let claims: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let claim = acquire_lock(&dir);
+                        done.wait(); // hold a won lock until every claim is in
+                        match claim {
+                            Ok(_lock) => Ok(()),
+                            Err(DaemonError::AlreadyRunning { pid }) => Err(pid),
+                            Err(e) => panic!("unexpected lock error: {e}"),
+                        }
+                    })
+                })
+                .collect();
+            claims.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 1, "{results:?}");
+        assert!(results.iter().all(|r| r.map_or_else(|pid| pid == std::process::id(), |()| true)));
+        assert!(!dir.pid_path().exists(), "a dropped lock is released");
+        assert!(acquire_lock(&dir).is_ok());
+        fs::remove_dir_all(dir.pid_path().parent().unwrap()).ok();
+    }
+
+    /// A lock left by a dead owner — a pid that does not exist, or a
+    /// live pid whose start time shows it is a different process — is
+    /// reclaimed; a live owner's lock is not.
+    #[test]
+    fn stale_locks_are_reclaimed_and_live_ones_kept() {
+        let dir = lock_dir("stale");
+        let me = std::process::id();
+        let start = signal::start_time(me).unwrap();
+        for stale in [format!("{} 1\n", u32::MAX - 1), format!("{me} {}\n", start + 1), "7\n".into()] {
+            fs::write(dir.pid_path(), &stale).unwrap();
+            assert_eq!(read_pid_lock(&dir), None, "{stale:?} reads as held");
+            let lock = acquire_lock(&dir).unwrap_or_else(|e| panic!("{stale:?} blocked: {e}"));
+            assert_eq!(read_pid_lock(&dir), Some(me));
+            drop(lock);
+        }
+        fs::write(dir.pid_path(), format!("{me} {start}\n")).unwrap();
+        assert!(matches!(acquire_lock(&dir), Err(DaemonError::AlreadyRunning { pid }) if pid == me));
+        let leftovers: Vec<_> = fs::read_dir(dir.pid_path().parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n != "daemon.pid")
+            .collect();
+        assert!(leftovers.is_empty(), "claim files left behind: {leftovers:?}");
+        fs::remove_dir_all(dir.pid_path().parent().unwrap()).ok();
+    }
 
     /// A spec that disables every engine is refused before anything is
     /// laid out on disk.

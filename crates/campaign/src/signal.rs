@@ -101,6 +101,18 @@ pub fn pid_alive(pid: u32) -> bool {
     std::path::Path::new(&format!("/proc/{pid}")).exists()
 }
 
+/// Start time of process `pid` in clock ticks since boot (field 22 of
+/// `/proc/<pid>/stat`), or `None` if no such process exists. A pid and
+/// its start time name one process for the life of the system, even
+/// after the pid is reused.
+pub(crate) fn start_time(pid: u32) -> Option<u64> {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
+    // The command name (field 2) is parenthesized and may itself hold
+    // spaces or parentheses: count the fields after the last ')'.
+    let rest = &stat[stat.rfind(')')? + 1..];
+    rest.split_whitespace().nth(19)?.parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -194,3 +194,35 @@ fn adaptive_campaign_completes_with_a_full_table() {
 
     fs::remove_dir_all(&dir).ok();
 }
+
+/// Two daemons started on one campaign at once: the atomic pid lock
+/// admits exactly one, the other reports the campaign as already
+/// running, and the winner completes it.
+#[test]
+fn two_daemons_started_together_admit_exactly_one() {
+    let dir = temp_campaign_dir("twin");
+    submit(&dir, false);
+    let start = || {
+        campaignd()
+            .arg("run")
+            .arg(&dir)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn campaignd run") // lint: allow
+    };
+    let (first, second) = (start(), start());
+    let outputs = [first, second].map(|d| d.wait_with_output().expect("wait campaignd")); // lint: allow
+    let refused: Vec<String> = outputs
+        .iter()
+        .filter(|o| !o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stderr).to_string())
+        .collect();
+    assert_eq!(refused.len(), 1, "expected exactly one refusal, got {refused:?}");
+    assert!(refused[0].contains("already running"), "unexpected refusal: {}", refused[0]);
+    let table2 = fs::read_to_string(dir.join("table2.txt")).expect("winner's table2"); // lint: allow
+    assert!(table2.starts_with("Table 2."), "table2 header missing: {table2:?}");
+    assert!(!dir.join("daemon.pid").exists(), "pid lock not released");
+
+    fs::remove_dir_all(&dir).ok();
+}

@@ -427,7 +427,7 @@ impl Rounds for Coordinator<'_> {
 mod tests {
     use super::*;
     use veridic_aig::{Aig, Lit};
-    use crate::bdd_engine::bdd_umc;
+    use crate::bdd_engine::{bdd_umc, bdd_umc_session};
 
     fn counter_with_bad(bits: u32, bad_at: u64) -> Aig {
         let mut g = Aig::new();
@@ -752,7 +752,8 @@ mod tests {
     /// and one that stays within it, per design. Every value is a
     /// function of the manager's op sequence, so this fails on any
     /// change to the serial engines' order of BDD operations, root
-    /// registrations or accounting.
+    /// registrations or accounting. The values are natural-order
+    /// figures, so the runs set `static_order` off explicitly.
     #[test]
     fn serial_engine_accounting_is_pinned() {
         type Pin = (BddEngineOutcome, usize, usize, u64, usize, usize);
@@ -812,10 +813,19 @@ mod tests {
         for (name, g, quota, max_iterations, pins) in &cases {
             for (engine, pin) in pins.iter().enumerate() {
                 let mut s = CheckStats::default();
+                let opts = |window_vars| {
+                    CheckOptions::builder()
+                        .bdd_nodes(*quota)
+                        .max_iterations(*max_iterations)
+                        .pobdd_window_vars(window_vars)
+                        .static_order(false)
+                        .build()
+                };
+                let unlimited = &mut Budget::unlimited();
                 let outcome = match engine {
-                    0 => bdd_umc(g, *quota, *max_iterations, &mut s),
-                    1 => pobdd_reach(g, 0, 1, *quota, *max_iterations, &mut s),
-                    _ => pobdd_reach(g, 2, 1, *quota, *max_iterations, &mut s),
+                    0 => bdd_umc_session(g, &opts(0), &mut s, unlimited, None),
+                    1 => pobdd_reach_session(g, &opts(0), &mut s, unlimited, None),
+                    _ => pobdd_reach_session(g, &opts(2), &mut s, unlimited, None),
                 };
                 let got = (
                     outcome,

@@ -40,7 +40,11 @@ fn assert_self_consistent(aig: &Aig, opts: &CheckOptions, what: &str) {
 
     if !(opts.bdd_only || opts.sat_only) {
         for restricted in [
-            CheckOptions { bdd_only: true, ..opts.clone() },
+            // The BDD-only half images data-path vunits the SAT engines
+            // settle at once. A quota, as in `parallel_image_matches_serial`,
+            // keeps those from dominating the suite: a resourced-out
+            // half is accepted below.
+            CheckOptions { bdd_only: true, bdd_nodes: 1 << 16, ..opts.clone() },
             CheckOptions { sat_only: true, ..opts.clone() },
         ] {
             let half = Portfolio::default().check(aig, &restricted);

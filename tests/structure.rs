@@ -11,9 +11,10 @@
 //!   semantics: verdict kind, counterexample depth/bad index, and
 //!   reachability iteration counts match the natural-order run on
 //!   random chipgen properties, across every engine selection.
-//! * **Off is off** — with `static_order` disabled (the default) the
-//!   run is byte-identical to the default configuration and the span
-//!   stats stay zero: the subsystem leaves no trace unless asked for.
+//! * **Off is off** — with `static_order` explicitly disabled (it is
+//!   on by default) no order is computed, the span stats stay zero,
+//!   the run is byte-identical from one run to the next, and verdict
+//!   and iteration count match the default configuration.
 //! * **Boundary comb-loop lint** — a seeded combinational cycle in a
 //!   netlist is enumerated by `Module::comb_loops` (which never fails,
 //!   unlike validation) and rejected by `validate`.
@@ -209,10 +210,11 @@ proptest! {
     }
 }
 
-/// Off means off: an explicit `static_order: false` run is
-/// byte-identical to the default configuration, and the span fields
-/// stay zero — the structural pass leaves no trace unless enabled.
-/// This mirrors the preanalysis identity-pass pin from PR 8.
+/// Off means off: an explicit `static_order: false` run computes no
+/// order (both span fields stay zero), is byte-identical from one run
+/// to the next, and reaches the default configuration's verdict in the
+/// same number of reachability rounds — the structural pass leaves no
+/// trace unless enabled.
 #[test]
 fn static_order_off_is_byte_identical_to_the_default() {
     let (aig, _) = chipgen_property(0, false, 0);
@@ -220,13 +222,16 @@ fn static_order_off_is_byte_identical_to_the_default() {
         CheckOptions::default(),
         CheckOptions::builder().bdd_only(true).pobdd_window_vars(0).build(),
     ] {
+        let off_opts = CheckOptions { static_order: false, ..base.clone() };
         let default_run = Portfolio::default().check(&aig, &base);
-        let off = Portfolio::default()
-            .check(&aig, &CheckOptions { static_order: false, ..base.clone() });
-        assert_eq!(default_run.verdict, off.verdict);
-        assert_eq!(default_run.stats, off.stats, "explicit off diverged from default");
+        let off = Portfolio::default().check(&aig, &off_opts);
+        let again = Portfolio::default().check(&aig, &off_opts);
         assert_eq!(off.stats.static_order_span_before, 0);
         assert_eq!(off.stats.static_order_span_after, 0);
+        assert_eq!(off.verdict, again.verdict);
+        assert_eq!(off.stats, again.stats, "a natural-order run is not reproducible");
+        assert_eq!(default_run.verdict, off.verdict);
+        assert_eq!(default_run.stats.iterations, off.stats.iterations);
     }
 }
 
